@@ -86,7 +86,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _make_config(args, which=()) -> ExperimentConfig:
+def _make_config(args) -> ExperimentConfig:
     kwargs = {
         "degrees": _parse_int_list(args.degrees),
         "seed": args.seed if args.seed is not None else _default_seed(),

@@ -23,26 +23,23 @@ from .bases import (
     standard_nodes,
 )
 from .errors import SpectralAssumptionError
-from .linalg import (
-    Matrix,
-    abs_matrix,
-    collocation_matrix,
-    cond_inf,
-    dominates,
-    inverse,
-    kronecker,
-)
+from .linalg import Matrix, collocation_matrix, cond_inf, inverse
 from .render import fraction_str, render_enclosure, sci_notation
 from .rng import SplitMix64
 from .spectral import (
+    DEFAULT_TOL,
     RootEnclosure,
     SpectralReport,
     kron_min_spectral,
+    refine_report,
     spectral_report,
 )
 
 DEFAULT_SEED = 137
-DEFAULT_TOL = Fraction(1, 10**30)
+# a report that renders ambiguously or leaves an ordering uncertified is
+# refined in place: TOL_ROUNDS tolerances, each TOL_STEP times the last
+TOL_ROUNDS = 4
+TOL_STEP = Fraction(1, 10**10)
 
 # published values: 3 significant digits for the spectral table, 5 for the
 # condition-number table; keys are (degree, family label)
@@ -73,6 +70,7 @@ PLAIN_FAMILIES = (("M", BasisFamily.BERNSTEIN),
                   ("B1", BasisFamily.SAID_BALL),
                   ("B2", BasisFamily.DP))
 RATIONAL_LABELS = ("M_T", "B1_T", "B2_T", "B3_T")
+WEIGHT_NAMES = ("bernstein", "saidball", "monomial", "dp")
 
 
 @dataclass(frozen=True)
@@ -85,7 +83,6 @@ class ExperimentConfig:
     tol: Fraction = DEFAULT_TOL
     sig_digits_table1: int = 3
     sig_digits_table2: int = 5
-    output_format: str = "md"
     full: bool = False  # also emit B2_T spectral columns
 
     def __post_init__(self):
@@ -93,8 +90,6 @@ class ExperimentConfig:
             raise ValueError("degrees must be a nonempty list of integers >= 1")
         if self.weight_lo > self.weight_hi:
             raise ValueError("weight_lo must not exceed weight_hi")
-        if self.output_format not in ("md", "csv", "json"):
-            raise ValueError(f"unknown output format {self.output_format!r}")
 
 
 @dataclass(frozen=True)
@@ -125,19 +120,24 @@ def _grid_matrix(family: BasisFamily, n: int, weights=None,
     return collocation_matrix(spec, standard_nodes(n))
 
 
+def _tightened(rep: SpectralReport, tol: Fraction):
+    """``rep`` refined in place to each tolerance of the schedule."""
+    for k in range(TOL_ROUNDS):
+        rep = refine_report(rep, tol * TOL_STEP**k)
+        yield rep
+
+
 def _kron_report_rendered(
     x: Matrix, tol: Fraction, sig_digits: int
 ) -> tuple[SpectralReport, str, str]:
     """Kronecker-square spectral report plus unambiguous decimal strings,
     tightening the tolerance when rounding would be ambiguous."""
-    for _ in range(4):
-        rep = spectral_report(x, tol)
+    for rep in _tightened(spectral_report(x, tol), tol):
         krep = kron_min_spectral(rep, rep)
         lam = render_enclosure(krep.lambda_min, sig_digits)
         sig = render_enclosure(krep.sigma_min_sq, sig_digits, sqrt=True)
         if lam is not None and sig is not None:
             return krep, lam, sig
-        tol = tol * Fraction(1, 10**10)
     raise SpectralAssumptionError("enclosures would not refine to an "
                                   "unambiguous rounding")
 
@@ -224,20 +224,18 @@ def run_table_3_4(
     return rows, weights
 
 
-def _matrices_equal(a: Matrix, b: Matrix) -> bool:
-    return len(a) == len(b) and all(ra == rb for ra, rb in zip(a, b))
-
-
 def _dominance_verdict(n: int, pair: str, variant: str,
                        a: Matrix, m: Matrix) -> OrderingVerdict:
+    """|(M (x) M)^-1| <= |(A (x) A)^-1| entrywise, decided on the factors:
+    the Kronecker entries are products m_ij m_kl and a_ij a_kl, so factor
+    dominance gives it by multiplying bounds, and the diagonal index pairs
+    (k, l) = (i, j), m_ij^2 <= a_ij^2, give the converse."""
     inv_a, inv_m = inverse(a), inverse(m)
-    kron_a_abs = kronecker(abs_matrix(inv_a), abs_matrix(inv_a))
-    kron_m_inv = kronecker(inv_m, inv_m)
-    for i, (arow, mrow) in enumerate(zip(kron_a_abs, kron_m_inv)):
+    for i, (arow, mrow) in enumerate(zip(inv_a, inv_m)):
         for j, (av, mv) in enumerate(zip(arow, mrow)):
-            if abs(mv) > av:
+            if abs(mv) > abs(av):
                 return OrderingVerdict("dominance", n, pair, variant, False,
-                                      witness=(i, j, av, mv))
+                                      witness=(i, j, abs(av), mv))
     return OrderingVerdict("dominance", n, pair, variant, True)
 
 
@@ -250,13 +248,14 @@ def _interval_le(x: RootEnclosure, y: RootEnclosure) -> bool | None:
     return None
 
 
-def _spectral_verdict(n: int, pair: str, variant: str,
-                      a: Matrix, m: Matrix, tol: Fraction) -> OrderingVerdict:
-    if _matrices_equal(a, m):
+def _spectral_verdict(n: int, pair: str, variant: str, fac_a: SpectralReport,
+                      fac_m: SpectralReport, tol: Fraction) -> OrderingVerdict:
+    """Spectral ordering of the Kronecker squares from factor reports
+    refined to ``tol``; equal reports enclose the same root of the same
+    polynomial, so their values are equal."""
+    if fac_a == fac_m:
         return OrderingVerdict("spectral_ordering", n, pair, variant, True)
-    for _ in range(4):
-        fac_a = spectral_report(a, tol)
-        fac_m = spectral_report(m, tol)
+    for fac_a, fac_m in zip(_tightened(fac_a, tol), _tightened(fac_m, tol)):
         rep_a = kron_min_spectral(fac_a, fac_a)
         rep_m = kron_min_spectral(fac_m, fac_m)
         lam_ok = _interval_le(rep_a.lambda_min, rep_m.lambda_min)
@@ -268,7 +267,6 @@ def _spectral_verdict(n: int, pair: str, variant: str,
                          rep_a.sigma_min_sq, rep_m.sigma_min_sq))
         if lam_ok and sig_ok:
             return OrderingVerdict("spectral_ordering", n, pair, variant, True)
-        tol = tol * Fraction(1, 10**10)
     return OrderingVerdict("spectral_ordering", n, pair, variant, None)
 
 
@@ -312,12 +310,17 @@ def verify_orderings(
             comparisons.append(
                 ("rational", pair, m_rational,
                  _grid_matrix(family, n, weights=wv)))
+        if "ii" in parts:
+            reference = {"plain": spectral_report(m_plain, config.tol),
+                         "rational": spectral_report(m_rational, config.tol)}
         for variant, pair, m, a in comparisons:
             if "i" in parts:
                 verdicts.append(_dominance_verdict(n, pair, variant, a, m))
             if "ii" in parts:
-                verdicts.append(
-                    _spectral_verdict(n, pair, variant, a, m, config.tol))
+                rep_m = reference[variant]
+                rep_a = rep_m if a == m else spectral_report(a, config.tol)
+                verdicts.append(_spectral_verdict(n, pair, variant, rep_a,
+                                                  rep_m, config.tol))
             if "iii" in parts:
                 verdicts.append(_conditioning_verdict(n, pair, variant, a, m))
     return verdicts
@@ -357,6 +360,11 @@ def _md_table(header: list[str], lines: list[list[str]]) -> list[str]:
            "|" + "|".join("---" for _ in header) + "|"]
     out.extend("| " + " | ".join(line) + " |" for line in lines)
     return out
+
+
+def _weight_strings(conv: WeightConversionResult) -> dict[str, list[str]]:
+    return {name: [fraction_str(v) for v in getattr(conv, name)]
+            for name in WEIGHT_NAMES}
 
 
 def _render_md(rows, verdicts, config, weights, dp_variant) -> str:
@@ -402,12 +410,9 @@ def _render_md(rows, verdicts, config, weights, dp_variant) -> str:
     if weights:
         lines += ["## Weights", ""]
         for n in sorted(weights):
-            conv = weights[n]
             lines.append(f"- n={n}:")
-            for name in ("bernstein", "saidball", "monomial", "dp"):
-                vec = getattr(conv, name)
-                lines.append(f"  - {name}: "
-                             + " ".join(fraction_str(v) for v in vec))
+            for name, vec in _weight_strings(weights[n]).items():
+                lines.append(f"  - {name}: " + " ".join(vec))
         lines.append("")
     if verdicts:
         lines += ["## Ordering verdicts", ""]
@@ -425,11 +430,8 @@ def _render_csv(rows, verdicts, weights) -> str:
         lines.append(f"{row.table},{row.degree},{row.family_label},"
                      f"{row.metric},{row.decimal}")
     for n in sorted(weights or {}):
-        conv = weights[n]
-        for name in ("bernstein", "saidball", "monomial", "dp"):
-            vec = getattr(conv, name)
-            joined = " ".join(fraction_str(v) for v in vec)
-            lines.append(f"weights,{n},{name},weights,{joined}")
+        for name, vec in _weight_strings(weights[n]).items():
+            lines.append(f"weights,{n},{name},weights,{' '.join(vec)}")
     for v in verdicts or []:
         holds = {True: "true", False: "false", None: "indeterminate"}[v.holds]
         lines.append(f"verdict,{v.degree},{v.variant},"
@@ -457,10 +459,7 @@ def _render_json(rows, verdicts, config, weights, dp_variant) -> str:
         },
         "dp_variant": dp_variant,
         "weights": {
-            str(n): {
-                name: [fraction_str(v) for v in getattr(conv, name)]
-                for name in ("bernstein", "saidball", "monomial", "dp")
-            }
+            str(n): _weight_strings(conv)
             for n, conv in sorted((weights or {}).items())
         } or None,
         "rows": [

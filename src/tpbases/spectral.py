@@ -1,17 +1,22 @@
 """Certified minimal eigenvalues and singular values of rational matrices.
 
-The pipeline is fully exact: characteristic polynomials come from the
-Faddeev-LeVerrier recurrence, real roots are isolated with Sturm
-sequences and refined by bisection, so every reported value is a rational
-interval guaranteed to contain the true eigenvalue.  A floating-point
-cross-check (``float_crosscheck``) exists purely as an independent sanity
-oracle and never feeds the certified path.
+The pipeline is fully exact and has one path: characteristic polynomials
+come from the Faddeev-LeVerrier recurrence, real roots are isolated with
+Sturm sequences and the smallest is refined by bisection, on A for
+``min_eigenvalue`` and on A^T A, then separated from zero, for
+``min_singular_value``; ``spectral_report`` is those two calls, and
+``refine_report`` tightens a report in place (bisection is
+path-independent).  Every reported value is a rational interval
+guaranteed to contain the true eigenvalue.  A floating-point cross-check
+(``float_crosscheck``) exists purely as an independent sanity oracle and
+never feeds the certified path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 
 from .errors import DomainError, SpectralAssumptionError
 from .linalg import Matrix, mat_mul, transpose
@@ -83,24 +88,19 @@ def squarefree_decomposition(p: Poly) -> list[tuple[Poly, int]]:
     w = poly_divmod(p, g)[0]
     y = poly_divmod(poly_deriv(p), g)[0]
     i = 1
-    z = poly_trim([yc - dc for yc, dc in zip_longest(y, poly_deriv(w))])
+    z = poly_trim([yc - dc for yc, dc in
+                   zip_longest(y, poly_deriv(w), fillvalue=0)])
     while len(w) > 1:
         f = poly_gcd(w, z)
         if len(f) > 1:
             out.append((f, i))
         w_next = poly_divmod(w, f)[0]
         y = poly_divmod(z, f)[0]
-        z = poly_trim([yc - dc for yc, dc in zip_longest(y, poly_deriv(w_next))])
+        z = poly_trim([yc - dc for yc, dc in
+                       zip_longest(y, poly_deriv(w_next), fillvalue=0)])
         w = w_next
         i += 1
     return out
-
-
-def zip_longest(a: Poly, b: Poly):
-    n = max(len(a), len(b))
-    for i in range(n):
-        yield (a[i] if i < len(a) else Fraction(0),
-               b[i] if i < len(b) else Fraction(0))
 
 
 # --- Sturm machinery ---
@@ -280,11 +280,18 @@ class SpectralReport:
     all_eigs_real_positive: bool
 
 
-def _real_spectrum(a: Matrix) -> tuple[list[RootEnclosure], bool]:
+def refine_report(rep: SpectralReport, tol: Fraction) -> SpectralReport:
+    """``rep`` with both enclosures bisected down to width <= tol."""
+    return SpectralReport(refine_root(rep.lambda_min, tol),
+                          refine_root(rep.sigma_min_sq, tol),
+                          rep.all_eigs_real_positive)
+
+
+def _real_spectrum(a: Matrix) -> list[RootEnclosure]:
     """All real eigenvalue enclosures; errors unless the full spectrum is real.
 
-    Returns (enclosures, all_positive).  Multiple eigenvalues are handled
-    through the squarefree decomposition so the multiplicity count is exact.
+    Multiple eigenvalues are handled through the squarefree decomposition
+    so the multiplicity count is exact.
     """
     n = len(a)
     p = char_poly(a)
@@ -299,8 +306,7 @@ def _real_spectrum(a: Matrix) -> tuple[list[RootEnclosure], bool]:
             f"only {total} of {n} eigenvalues are real; matrix is outside "
             "the totally positive regime this module assumes"
         )
-    positive = all(_certify_positive(e) for e in enclosures)
-    return enclosures, positive
+    return enclosures
 
 
 def _smallest_enclosure(enclosures: list[RootEnclosure]) -> RootEnclosure:
@@ -323,46 +329,40 @@ def _smallest_enclosure(enclosures: list[RootEnclosure]) -> RootEnclosure:
     return min(encs, key=lambda e: e.low)
 
 
-def _certify_positive(enc: RootEnclosure) -> bool:
-    if enc.low > 0:
-        return True
-    q = list(enc.polynomial)
-    if poly_eval(q, Fraction(0)) == 0:
-        return False  # zero is a root
-    e = enc
-    while e.low <= 0 < e.high:
-        e = refine_root(e, e.width / 4)
-    return e.low > 0
+def _separated_from_zero(enc: RootEnclosure) -> RootEnclosure | None:
+    """``enc`` refined until its low end is positive, or None when its root
+    is not positive."""
+    if enc.low <= 0 and poly_eval(list(enc.polynomial), Fraction(0)) == 0:
+        return None  # zero is the root: no refinement can separate it
+    while enc.low <= 0 < enc.high:
+        enc = refine_root(enc, enc.width / 4)
+    return enc if enc.low > 0 else None
 
 
 def min_eigenvalue(a: Matrix, tol: Fraction = DEFAULT_TOL) -> RootEnclosure:
     """Enclosure of the smallest (real) eigenvalue, refined to width <= tol."""
-    enclosures, _ = _real_spectrum(a)
-    return refine_root(_smallest_enclosure(enclosures), tol)
+    return refine_root(_smallest_enclosure(_real_spectrum(a)), tol)
 
 
 def min_singular_value(a: Matrix, tol: Fraction = DEFAULT_TOL) -> RootEnclosure:
-    """Enclosure of the smallest eigenvalue of A^T A (i.e. sigma_min^2)."""
-    gram = mat_mul(transpose(a), a)
-    enclosures, _ = _real_spectrum(gram)
-    smallest = refine_root(_smallest_enclosure(enclosures), tol)
-    if smallest.low <= 0:
-        if not _certify_positive(smallest):
-            raise SpectralAssumptionError(
-                "smallest singular value cannot be separated from zero; "
-                "the matrix may be singular"
-            )
-        while smallest.low <= 0:
-            smallest = refine_root(smallest, smallest.width / 4)
-        smallest = refine_root(smallest, tol)
+    """Enclosure of the smallest eigenvalue of A^T A (i.e. sigma_min^2),
+    refined to width <= tol and separated from zero."""
+    smallest = _separated_from_zero(
+        min_eigenvalue(mat_mul(transpose(a), a), tol))
+    if smallest is None:
+        raise SpectralAssumptionError(
+            "smallest singular value cannot be separated from zero; "
+            "the matrix may be singular"
+        )
     return smallest
 
 
 def spectral_report(a: Matrix, tol: Fraction = DEFAULT_TOL) -> SpectralReport:
-    enclosures, positive = _real_spectrum(a)
-    lam = refine_root(_smallest_enclosure(enclosures), tol)
-    sig = min_singular_value(a, tol)
-    return SpectralReport(lam, sig, positive)
+    lam = min_eigenvalue(a, tol)
+    # min_eigenvalue has certified the whole spectrum real, so it is
+    # positive exactly when its smallest eigenvalue is
+    positive = _separated_from_zero(lam) is not None
+    return SpectralReport(lam, min_singular_value(a, tol), positive)
 
 
 def _interval_product(x: RootEnclosure, y: RootEnclosure) -> RootEnclosure:
@@ -405,12 +405,6 @@ def float_crosscheck(a: Matrix) -> tuple[float, float]:
     return float(lam), float(sig)
 
 
-def kron_square_report(a: Matrix, tol: Fraction = DEFAULT_TOL) -> SpectralReport:
-    """Report for A (x) A computed from the factor report."""
-    rep = spectral_report(a, tol)
-    return kron_min_spectral(rep, rep)
-
-
 def sqrt_enclosure(low: Fraction, high: Fraction, digits: int = 40) -> tuple[Fraction, Fraction]:
     """Outward-rounded rational enclosure of [sqrt(low), sqrt(high)]."""
     import math
@@ -436,10 +430,10 @@ __all__ = [
     "float_crosscheck",
     "isolate_real_roots",
     "kron_min_spectral",
-    "kron_square_report",
     "min_eigenvalue",
     "min_singular_value",
     "poly_eval",
+    "refine_report",
     "refine_root",
     "spectral_report",
     "sqrt_enclosure",

@@ -9,14 +9,23 @@ from tpbases.experiments import (
     GOLDEN_TABLE1,
     GOLDEN_TABLE2,
     _dominance_verdict,
+    _kron_report_rendered,
+    _spectral_verdict,
     check_goldens,
     render_report,
     run_table_1_2,
     run_table_3_4,
     verify_orderings,
 )
-from tpbases.linalg import collocation_matrix
+from tpbases.linalg import (
+    abs_matrix,
+    collocation_matrix,
+    dominates,
+    inverse,
+    kronecker,
+)
 from tpbases.render import sci_notation
+from tpbases.spectral import spectral_report
 
 
 @pytest.fixture(scope="module")
@@ -117,14 +126,32 @@ def test_verify_reflexive_case():
     assert verdict.holds is True
 
 
-def test_verify_all_parts_hold():
-    verdicts = verify_orderings(ExperimentConfig(degrees=(3,)))
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_verify_all_parts_hold(n):
+    # at n <= 2 Said-Ball and DP equal Bernstein, which takes the
+    # equal-matrix shortcut of the spectral ordering
+    verdicts = verify_orderings(ExperimentConfig(degrees=(n,)))
     assert len(verdicts) == 15  # 5 pairs x 3 parts
     assert all(v.holds is True for v in verdicts)
 
 
-def test_scrambled_basis_fails_dominance():
-    # inject a negative weight to leave the totally positive class
+def test_coarse_reports_are_tightened_in_place():
+    # at tolerance 1/10 nothing renders or orders: both results need the
+    # later rounds of the tolerance schedule
+    coarse = F(1, 10)
+    nodes = standard_nodes(3)
+    m = collocation_matrix(BasisSpec(BasisFamily.BERNSTEIN, 3), nodes)
+    a = collocation_matrix(BasisSpec(BasisFamily.SAID_BALL, 3), nodes)
+    _, lam, sig = _kron_report_rendered(m, coarse, 3)
+    assert (lam, sig) == GOLDEN_TABLE1[(3, "M")]
+    verdict = _spectral_verdict(3, "said-ball vs bernstein", "plain",
+                                spectral_report(a, coarse),
+                                spectral_report(m, coarse), coarse)
+    assert verdict.holds is True
+
+
+def _scrambled_bernstein():
+    # a negative weight leaves the totally positive class
     n = 3
     nodes = standard_nodes(n)
     bern = BasisSpec(BasisFamily.BERNSTEIN, n)
@@ -135,12 +162,48 @@ def test_scrambled_basis_fails_dominance():
         weighted = [w * v for w, v in zip(bad_weights, row)]
         total = sum(weighted)
         scrambled.append([v / total for v in weighted])
-    m = collocation_matrix(bern, nodes)
-    verdict = _dominance_verdict(n, "scrambled vs bernstein", "plain",
+    return scrambled
+
+
+def test_scrambled_basis_fails_dominance():
+    scrambled = _scrambled_bernstein()
+    m = collocation_matrix(BasisSpec(BasisFamily.BERNSTEIN, 3),
+                           standard_nodes(3))
+    verdict = _dominance_verdict(3, "scrambled vs bernstein", "plain",
                                  scrambled, m)
     assert verdict.holds is False
     i, j, bound, value = verdict.witness
     assert abs(value) > bound
+    # the witness is an entry of the factor inverses
+    assert bound == abs(inverse(scrambled)[i][j])
+    assert value == inverse(m)[i][j]
+
+
+def _dominance_cases():
+    for n in range(1, 6):
+        nodes = standard_nodes(n)
+        weights = tuple(F(i + 2, 3) for i in range(n + 1))
+        for wv in (None, weights):
+            m = collocation_matrix(
+                BasisSpec(BasisFamily.BERNSTEIN, n, weights=wv), nodes)
+            for family in BasisFamily:
+                a = collocation_matrix(BasisSpec(family, n, weights=wv), nodes)
+                yield n, a, m
+    m = collocation_matrix(BasisSpec(BasisFamily.BERNSTEIN, 3),
+                           standard_nodes(3))
+    yield 3, _scrambled_bernstein(), m
+
+
+def test_factor_dominance_matches_kronecker_dominance():
+    outcomes = set()
+    for n, a, m in _dominance_cases():
+        inv_a, inv_m = inverse(a), inverse(m)
+        oracle = dominates(kronecker(abs_matrix(inv_a), abs_matrix(inv_a)),
+                           kronecker(inv_m, inv_m))
+        verdict = _dominance_verdict(n, "pair", "plain", a, m)
+        assert verdict.holds is oracle
+        outcomes.add(oracle)
+    assert outcomes == {True, False}  # both directions are exercised
 
 
 def test_config_validation():
@@ -149,4 +212,4 @@ def test_config_validation():
     with pytest.raises(ValueError):
         ExperimentConfig(weight_lo=10, weight_hi=1)
     with pytest.raises(ValueError):
-        ExperimentConfig(output_format="xml")
+        render_report([], [], "xml", ExperimentConfig())

@@ -1,0 +1,31 @@
+"""The CLI's report bytes are pinned: a change to the spectral, ordering or
+rendering code must leave every byte of these reports the same.
+
+The digests were recorded once and must never be re-recorded to make a
+change pass; a mismatch means the change altered the reports.
+"""
+
+import hashlib
+
+import pytest
+
+from tpbases.cli import main
+
+PINNED = [
+    ("tables --which 1,2 --degrees 3,4,5 --format json",
+     "e54e40d7392f982a26f97d37beb7aa57f2438d151cfff0607d5514acdf1c59cc"),
+    ("tables --which 1,2 --degrees 1,2,3,7 --format json",
+     "4a13500db0e303786680903facf670787ae07d63466732f5974e77faa898dbf8"),
+    ("tables --which 3,4 --degrees 3,4,5 --seed 9 --full --format json",
+     "37505d3dd1b818cef45b727a051b7363413499244afc87f5c58ce75817ad3ca3"),
+    ("verify --part all --degrees 1,2,3 --seed 193 --format csv",
+     "14a2e1b7b7408c4101728cf28972a60d15536737bc9bc609e153f34d526c12ee"),
+]
+
+
+@pytest.mark.parametrize("command,digest", PINNED)
+def test_report_bytes_are_pinned(command, digest, capsys, monkeypatch):
+    monkeypatch.delenv("TPB_SEED", raising=False)
+    assert main(command.split()) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest

@@ -16,6 +16,7 @@ from tpbases.spectral import (
     min_eigenvalue,
     min_singular_value,
     poly_eval,
+    refine_report,
     refine_root,
     spectral_report,
     sqrt_enclosure,
@@ -180,6 +181,21 @@ def test_sigma_enclosure_consistent_with_gram_eigenvalue():
     sig_sq = min_singular_value(m, TOL30)
     gram_min = min_eigenvalue(mat_mul(transpose(m), m), TOL30)
     assert sig_sq.low <= gram_min.high and gram_min.low <= sig_sq.high
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+@pytest.mark.parametrize("family", list(BasisFamily))
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_refined_report_equals_report_at_tighter_tolerance(n, family,
+                                                           weighted):
+    # bisection is path-independent, so a report tightened in place is the
+    # report computed at the tighter tolerance
+    weights = tuple(F(i + 2, 3) for i in range(n + 1)) if weighted else None
+    m = collocation_matrix(BasisSpec(family, n, weights=weights),
+                           standard_nodes(n))
+    tighter = TOL30 / 10**10
+    assert refine_report(spectral_report(m, TOL30), tighter) == \
+        spectral_report(m, tighter)
 
 
 # --- kronecker lifting ---
