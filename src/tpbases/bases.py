@@ -178,9 +178,7 @@ def _solve_collocation(spec: BasisSpec, values: list[Fraction]) -> tuple[Fractio
     return tuple(solve(collocation_matrix(spec, nodes), values))
 
 
-def convert_bernstein_weights(
-    n: int, w, dp_literal_middle: bool = False
-) -> WeightConversionResult:
+def convert_bernstein_weights(n: int, w) -> WeightConversionResult:
     """Re-express p(x) = sum_j w_j b_j^n(x) in the Said-Ball, monomial and
     DP bases by exact collocation solves at the standard nodes."""
     w = tuple(Fraction(v) for v in w)
@@ -196,9 +194,7 @@ def convert_bernstein_weights(
     ]
     saidball = _solve_collocation(BasisSpec(BasisFamily.SAID_BALL, n), values)
     monomial = _solve_collocation(BasisSpec(BasisFamily.MONOMIAL, n), values)
-    dp = _solve_collocation(
-        BasisSpec(BasisFamily.DP, n, dp_literal_middle=dp_literal_middle), values
-    )
+    dp = _solve_collocation(BasisSpec(BasisFamily.DP, n), values)
     all_positive = all(v > 0 for vec in (w, saidball, monomial, dp) for v in vec)
     return WeightConversionResult(w, saidball, monomial, dp, all_positive)
 
@@ -221,7 +217,6 @@ def search_positive_weights(
     seed: int | None = None,
     max_iter: int = DEFAULT_SEARCH_MAX_ITER,
     rng: SplitMix64 | None = None,
-    dp_literal_middle: bool = False,
 ) -> WeightConversionResult:
     """Draw integer weight vectors from [lo, hi]^(n+1) until one converts to
     all-positive weights in all four bases.
@@ -243,7 +238,7 @@ def search_positive_weights(
         # cheap integer pre-check; the exact conversion below is the oracle
         if not _monomial_coeffs_positive(w, n):
             continue
-        result = convert_bernstein_weights(n, w, dp_literal_middle)
+        result = convert_bernstein_weights(n, w)
         if result.all_positive:
             return result
     raise SearchExhaustedError(max_iter, seed)

@@ -6,17 +6,19 @@ Sturm sequences and the smallest is refined by bisection, on A for
 ``min_eigenvalue`` and on A^T A, then separated from zero, for
 ``min_singular_value``; ``spectral_report`` is those two calls, and
 ``refine_report`` tightens a report in place (bisection is
-path-independent).  Every reported value is a rational interval
-guaranteed to contain the true eigenvalue.  A floating-point cross-check
-(``float_crosscheck``) exists purely as an independent sanity oracle and
-never feeds the certified path.
+path-independent).  A characteristic polynomial p and its squarefree part
+q = p / gcd(p, p') have the same roots, so the spectrum is all real
+exactly when q has deg q real roots: multiplicities are never counted,
+and gcd(p, p') is read off the end of p's Sturm sequence.  Every reported
+value is a rational interval guaranteed to contain the true eigenvalue.
+A floating-point cross-check (``float_crosscheck``) exists purely as an
+independent sanity oracle and never feeds the certified path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import zip_longest
 
 from .errors import DomainError, SpectralAssumptionError
 from .linalg import Matrix, mat_mul, transpose
@@ -62,52 +64,15 @@ def poly_divmod(num: Poly, den: Poly) -> tuple[Poly, Poly]:
     return poly_trim(q), poly_trim(num)
 
 
-def poly_gcd(a: Poly, b: Poly) -> Poly:
-    a, b = poly_trim(a), poly_trim(b)
-    while b:
-        a, b = b, poly_divmod(a, b)[1]
-    if a:
-        a = [c / a[-1] for c in a]  # monic
-    return a
-
-
-def squarefree_part(p: Poly) -> Poly:
-    g = poly_gcd(p, poly_deriv(p))
-    if len(g) <= 1:
-        return poly_trim(p)
-    return poly_divmod(p, g)[0]
-
-
-def squarefree_decomposition(p: Poly) -> list[tuple[Poly, int]]:
-    """Yun's algorithm: p = prod f_i^i with the f_i squarefree, coprime."""
-    p = poly_trim(p)
-    if len(p) <= 1:
-        return []
-    out: list[tuple[Poly, int]] = []
-    g = poly_gcd(p, poly_deriv(p))
-    w = poly_divmod(p, g)[0]
-    y = poly_divmod(poly_deriv(p), g)[0]
-    i = 1
-    z = poly_trim([yc - dc for yc, dc in
-                   zip_longest(y, poly_deriv(w), fillvalue=0)])
-    while len(w) > 1:
-        f = poly_gcd(w, z)
-        if len(f) > 1:
-            out.append((f, i))
-        w_next = poly_divmod(w, f)[0]
-        y = poly_divmod(z, f)[0]
-        z = poly_trim([yc - dc for yc, dc in
-                       zip_longest(y, poly_deriv(w_next), fillvalue=0)])
-        w = w_next
-        i += 1
-    return out
-
-
 # --- Sturm machinery ---
 
 
 def sturm_chain(p: Poly) -> list[Poly]:
-    """Sturm sequence of a squarefree polynomial."""
+    """Sturm sequence of p: p, p', then the negated successive remainders.
+
+    The last element is gcd(p, p') up to a constant factor, so it is
+    constant exactly when p is squarefree.
+    """
     chain = [poly_trim(p), poly_trim(poly_deriv(p))]
     while chain[-1]:
         rem = poly_divmod(chain[-2], chain[-1])[1]
@@ -170,14 +135,21 @@ def _exact_root_enclosure(
 
 
 def isolate_real_roots(p: Poly) -> list[RootEnclosure]:
-    """Disjoint enclosures of all distinct real roots of p."""
+    """Sorted, pairwise-disjoint enclosures of all distinct real roots of p.
+
+    Each enclosure carries the squarefree part q of p, which has the same
+    roots: p itself when p is squarefree, else p / gcd(p, p').
+    """
     p = poly_trim([Fraction(c) for c in p])
     if not p:
         raise DomainError("cannot isolate roots of the zero polynomial")
-    q = squarefree_part(p)
-    if len(q) <= 1:
+    if len(p) <= 1:
         return []
-    chain = sturm_chain(q)
+    q, chain = p, sturm_chain(p)
+    gcd = chain[-1]
+    if len(gcd) > 1:  # repeated root: divide out the monic gcd
+        q = poly_divmod(p, [c / gcd[-1] for c in gcd])[0]
+        chain = sturm_chain(q)
     bound = cauchy_bound(q)
     out: list[RootEnclosure] = []
     stack = [(-bound, bound)]
@@ -287,46 +259,20 @@ def refine_report(rep: SpectralReport, tol: Fraction) -> SpectralReport:
                           rep.all_eigs_real_positive)
 
 
-def _real_spectrum(a: Matrix) -> list[RootEnclosure]:
-    """All real eigenvalue enclosures; errors unless the full spectrum is real.
+def _smallest_eigenvalue(a: Matrix) -> RootEnclosure:
+    """Enclosure of the smallest eigenvalue; errors unless the spectrum is real.
 
-    Multiple eigenvalues are handled through the squarefree decomposition
-    so the multiplicity count is exact.
+    The characteristic polynomial and its squarefree part have the same
+    roots, so every eigenvalue is real exactly when the squarefree part has
+    as many distinct real roots as its degree.
     """
-    n = len(a)
-    p = char_poly(a)
-    total = 0
-    enclosures: list[RootEnclosure] = []
-    for factor, mult in squarefree_decomposition(p):
-        roots = isolate_real_roots(factor)
-        total += mult * len(roots)
-        enclosures.extend(roots)
-    if total != n:
+    roots = isolate_real_roots(char_poly(a))
+    if not roots or len(roots) != len(roots[0].polynomial) - 1:
         raise SpectralAssumptionError(
-            f"only {total} of {n} eigenvalues are real; matrix is outside "
-            "the totally positive regime this module assumes"
+            "not every eigenvalue is real; matrix is outside the totally "
+            "positive regime this module assumes"
         )
-    return enclosures
-
-
-def _smallest_enclosure(enclosures: list[RootEnclosure]) -> RootEnclosure:
-    """Enclosure of the smallest root among enclosures of distinct roots.
-
-    Enclosures coming from different squarefree factors can overlap while
-    still wide; refine overlapping pairs until the ordering is certain.
-    """
-    encs = list(enclosures)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(encs)):
-            for j in range(i + 1, len(encs)):
-                a, b = encs[i], encs[j]
-                if a.high > b.low and b.high > a.low:
-                    encs[i] = refine_root(a, a.width / 4)
-                    encs[j] = refine_root(b, b.width / 4)
-                    changed = True
-    return min(encs, key=lambda e: e.low)
+    return roots[0]
 
 
 def _separated_from_zero(enc: RootEnclosure) -> RootEnclosure | None:
@@ -341,7 +287,7 @@ def _separated_from_zero(enc: RootEnclosure) -> RootEnclosure | None:
 
 def min_eigenvalue(a: Matrix, tol: Fraction = DEFAULT_TOL) -> RootEnclosure:
     """Enclosure of the smallest (real) eigenvalue, refined to width <= tol."""
-    return refine_root(_smallest_enclosure(_real_spectrum(a)), tol)
+    return refine_root(_smallest_eigenvalue(a), tol)
 
 
 def min_singular_value(a: Matrix, tol: Fraction = DEFAULT_TOL) -> RootEnclosure:
@@ -405,12 +351,20 @@ def float_crosscheck(a: Matrix) -> tuple[float, float]:
     return float(lam), float(sig)
 
 
-def sqrt_enclosure(low: Fraction, high: Fraction, digits: int = 40) -> tuple[Fraction, Fraction]:
-    """Outward-rounded rational enclosure of [sqrt(low), sqrt(high)]."""
+def sqrt_enclosure(low: Fraction, high: Fraction) -> tuple[Fraction, Fraction]:
+    """Outward-rounded rational enclosure of [sqrt(low), sqrt(high)].
+
+    Rounds to max(40, floor(-log10(high))) decimal places, so the bound
+    on sqrt(high) keeps at least 19 significant digits however small high
+    is.
+    """
     import math
 
     if low < 0:
         raise DomainError("cannot take the square root of a negative bound")
+    digits = 40
+    if high > 0:
+        digits = max(digits, len(str(high.denominator // high.numerator)) - 1)
     scale = 10**digits
     lo_n = math.isqrt(low.numerator * scale * scale // low.denominator)
     hi_scaled = high.numerator * scale * scale
@@ -437,6 +391,5 @@ __all__ = [
     "refine_root",
     "spectral_report",
     "sqrt_enclosure",
-    "squarefree_decomposition",
     "sturm_chain",
 ]

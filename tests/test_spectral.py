@@ -20,7 +20,6 @@ from tpbases.spectral import (
     refine_root,
     spectral_report,
     sqrt_enclosure,
-    squarefree_decomposition,
     sturm_chain,
 )
 
@@ -92,7 +91,8 @@ def test_isolate_handles_dyadic_root_hit():
 
 
 def test_enclosure_sign_check():
-    for p in (frs(2, -3, 1), frs(-2, 0, 1), frs(F(3, 8), F(-5, 4), 1)):
+    for p in (frs(2, -3, 1), frs(-2, 0, 1), frs(F(3, 8), F(-5, 4), 1),
+              frs(-2, 5, -4, 1)):
         for enc in isolate_real_roots(p):
             q = list(enc.polynomial)
             assert poly_eval(q, enc.low) * poly_eval(q, enc.high) <= 0
@@ -128,13 +128,11 @@ def test_refine_rejects_bad_tolerance():
 
 # --- squarefree handling ---
 
-def test_squarefree_decomposition():
-    # (x-1)^2 (x-2) = x^3 - 4x^2 + 5x - 2
-    parts = squarefree_decomposition(frs(-2, 5, -4, 1))
-    assert sorted((tuple(f), m) for f, m in parts) == [
-        ((F(-2), F(1)), 1),
-        ((F(-1), F(1)), 2),
-    ]
+def test_isolate_repeated_root_uses_squarefree_part():
+    # (x-1)^2 (x-2) = x^3 - 4x^2 + 5x - 2 is isolated through its squarefree
+    # part (x-1)(x-2), which the end of its Sturm chain divides out
+    assert isolate_real_roots(frs(-2, 5, -4, 1)) == \
+        isolate_real_roots(frs(2, -3, 1))
 
 
 def test_min_eigenvalue_with_multiplicity():
@@ -162,6 +160,51 @@ def test_min_eigenvalue_rejects_complex_spectrum():
         min_eigenvalue(as_matrix([[0, -1], [1, 0]]), TOL30)
 
 
+def _random_integer_matrices(count, seed=7):
+    # general, symmetric and upper-triangular 3x3 matrices with entries in
+    # [-2, 2]; the triangular ones have diagonals in [-1, 1], so most of
+    # them have repeated real eigenvalues
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        m = [[rng.randint(-2, 2) for _ in range(3)] for _ in range(3)]
+        out.append(m)
+        out.append([[m[min(i, j)][max(i, j)] for j in range(3)]
+                    for i in range(3)])
+        out.append([[m[i][j] if j > i else rng.randint(-1, 1) if j == i else 0
+                     for j in range(3)] for i in range(3)])
+    return out
+
+
+@pytest.mark.parametrize("rows", [
+    [[2, 1], [1, 2]],
+    [[1, 0, 0], [0, 1, 0], [0, 0, 2]],
+    [[2, 0, 0], [0, 2, 0], [0, 0, 2]],
+    [[3, 1, 0, 0], [0, 3, 0, 0], [0, 0, 3, 0], [0, 0, 0, -1]],
+    [[2, 1, 0], [1, 2, 1], [0, 1, 2]],
+    [[0, 1], [0, 0]],
+    [[1, 1], [0, 1]],
+    [[0, -1], [1, 0]],
+    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]],
+    [[2, 0, 0, 0], [0, 2, 0, 0], [0, 0, 1, -1], [0, 0, 1, 1]],
+    *_random_integer_matrices(10),
+])
+def test_min_eigenvalue_matches_sympy_real_roots(rows):
+    # every eigenvalue is real exactly when the squarefree part of the
+    # characteristic polynomial has as many real roots as its degree;
+    # the oracle counts real roots with multiplicity instead
+    sympy = pytest.importorskip("sympy")
+    real = sympy.real_roots(sympy.Matrix(rows).charpoly(sympy.Symbol("x")))
+    if len(real) < len(rows):
+        with pytest.raises(SpectralAssumptionError):
+            min_eigenvalue(as_matrix(rows), TOL30)
+        return
+    enc = min_eigenvalue(as_matrix(rows), TOL30)
+    low = sympy.Rational(enc.low.numerator, enc.low.denominator)
+    high = sympy.Rational(enc.high.numerator, enc.high.denominator)
+    assert low < min(real) < high
+
+
 def test_min_singular_value_permutation():
     enc = min_singular_value(as_matrix([[0, 1], [1, 0]]), TOL30)
     assert enc.low < 1 < enc.high  # sigma^2 enclosure
@@ -172,6 +215,23 @@ def test_min_singular_value_diagonal():
     assert enc.low < 4 < enc.high
     lo, hi = sqrt_enclosure(enc.low, enc.high)
     assert lo <= 2 <= hi
+
+
+def test_sqrt_enclosure_rounds_to_40_places_down_to_1e_40():
+    for high in (F(3), F(1, 10**40)):
+        lo, hi = sqrt_enclosure(high / 2, high)
+        assert (lo * 10**40).denominator == (hi * 10**40).denominator == 1
+
+
+def test_sqrt_enclosure_keeps_tiny_values_positive():
+    lo, hi = sqrt_enclosure(F(1, 10**85), F(2, 10**85))
+    assert 0 < lo and lo**2 <= F(1, 10**85)
+    assert hi**2 >= F(2, 10**85)
+
+
+def test_render_sqrt_of_tiny_enclosure():
+    enc = RootEnclosure(F(1, 10**85), F(1, 10**85) + F(1, 10**95), None)
+    assert render_enclosure(enc, 3, sqrt=True) == "3.16e-43"
 
 
 def test_sigma_enclosure_consistent_with_gram_eigenvalue():
