@@ -1,29 +1,45 @@
 """Certified minimal eigenvalues and singular values of rational matrices.
 
-The pipeline is fully exact and has one path: characteristic polynomials
-come from the Faddeev-LeVerrier recurrence, real roots are isolated with
-Sturm sequences and the smallest is refined by bisection, on A for
-``min_eigenvalue`` and on A^T A, then separated from zero, for
-``min_singular_value``; ``spectral_report`` is those two calls, and
+The pipeline is fully exact and has one path, and its core works on
+Python integers only.  ``char_poly`` clears the denominators of A once,
+N = d A, runs the Faddeev-LeVerrier recurrence on the integer matrix N
+(each division by k is exact, because the characteristic polynomial of
+an integer matrix has integer coefficients) and scales back, so it
+returns the monic rational coefficients of det(lambda I - A).
+
+Roots are isolated with a Sturm chain over Z: p, p', then the negated
+primitive parts of |lc|^(delta+1)-scaled pseudo-remainders.  Every
+element is a positive multiple of the classical Sturm sequence, so root
+counts are unchanged, and signs at a rational a/b (b > 0) come from the
+homogeneous Horner sum sum c_i a^i b^(d-i), with no rational arithmetic.
+A polynomial p and its squarefree part q = p / gcd(p, p') have the same
+roots, and gcd(p, p') is the last element of p's chain; q is kept
+primitive over Z.
+
+``min_eigenvalue`` counts the distinct real roots of q on (-B, B] once,
+B the Cauchy bound: the spectrum is all real exactly when that count is
+deg q.  It then follows the bisection tree of ``isolate_real_roots``
+along the leftmost root only, and refines that one enclosure by
+bisection.  ``min_singular_value`` does the same on A^T A and separates
+the result from zero; ``spectral_report`` is those two calls, and
 ``refine_report`` tightens a report in place (bisection is
-path-independent).  A characteristic polynomial p and its squarefree part
-q = p / gcd(p, p') have the same roots, so the spectrum is all real
-exactly when q has deg q real roots: multiplicities are never counted,
-and gcd(p, p') is read off the end of p's Sturm sequence.  Every reported
-value is a rational interval guaranteed to contain the true eigenvalue.
-A floating-point cross-check (``float_crosscheck``) exists purely as an
-independent sanity oracle and never feeds the certified path.
+path-independent).  Every reported value is a rational interval
+guaranteed to contain the true eigenvalue.  A floating-point cross-check
+(``float_crosscheck``) exists purely as an independent sanity oracle and
+never feeds the certified path.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, SpectralAssumptionError
 from .linalg import Matrix, mat_mul, transpose
 
-CHAR_POLY_MAX_DIM = 12
+CHAR_POLY_MAX_DIM = 24
 FLOAT_CHECK_MAX_DIM = 64
 DEFAULT_TOL = Fraction(1, 10**30)
 
@@ -49,47 +65,83 @@ def poly_deriv(p: Poly) -> Poly:
     return [i * c for i, c in enumerate(p)][1:]
 
 
-def poly_divmod(num: Poly, den: Poly) -> tuple[Poly, Poly]:
-    num, den = num[:], poly_trim(den)
-    if not den:
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [Fraction(0)] * max(len(num) - len(den) + 1, 0)
-    lead = den[-1]
-    for k in range(len(num) - len(den), -1, -1):
-        c = num[k + len(den) - 1] / lead
-        q[k] = c
-        if c != 0:
-            for j, d in enumerate(den):
-                num[k + j] -= c * d
-    return poly_trim(q), poly_trim(num)
+# --- integer core: primitive polynomials over Z ---
+
+
+def _primitive(p: list[int]) -> list[int]:
+    """p divided by the (positive) gcd of its coefficients."""
+    g = math.gcd(*p)
+    return [c // g for c in p] if g > 1 else p
+
+
+def _integer_poly(p: Poly) -> list[int]:
+    """The primitive integer polynomial that is a positive multiple of p."""
+    d = math.lcm(*(c.denominator for c in p))
+    return _primitive(poly_trim([c.numerator * (d // c.denominator) for c in p]))
+
+
+def _pseudo_rem(num: list[int], den: list[int]) -> list[int]:
+    """Remainder of |lc(den)|^(deg num - deg den + 1) * num modulo den."""
+    r = num[:]
+    m = len(den) - 1
+    scale, sign = abs(den[-1]), (1 if den[-1] > 0 else -1)
+    for top in range(len(num) - 1, m - 1, -1):
+        c = sign * r[top]
+        for j in range(top):
+            r[j] *= scale
+        for j in range(m):
+            r[top - m + j] -= c * den[j]
+    return poly_trim(r[:m])
+
+
+def _exact_quotient(num: list[int], den: list[int]) -> list[int]:
+    """num / den for a primitive den that divides num over Q; by Gauss's
+    lemma the quotient has integer coefficients."""
+    r = num[:]
+    m = len(den) - 1
+    q = [0] * (len(num) - m)
+    for k in range(len(q) - 1, -1, -1):
+        c = q[k] = r[k + m] // den[-1]
+        for j in range(m + 1):
+            r[k + j] -= c * den[j]
+    return q
+
+
+def _sign_at(p: Poly, x: Fraction) -> int:
+    """Sign of p(x), from the homogeneous Horner sum of p at x = a/b."""
+    a, b = x.numerator, x.denominator
+    acc, b_pow = 0, 1
+    for c in reversed(p):
+        acc = acc * a + c * b_pow
+        b_pow *= b
+    return (acc > 0) - (acc < 0)
 
 
 # --- Sturm machinery ---
 
 
-def sturm_chain(p: Poly) -> list[Poly]:
-    """Sturm sequence of p: p, p', then the negated successive remainders.
+def sturm_chain(p: Poly) -> list[list[int]]:
+    """Sturm sequence of p over Z: p, p', then the negated primitive parts
+    of the successive pseudo-remainders.
 
+    Every element is a positive multiple of the classical element (p, p',
+    negated remainders), so sign variations are the same at every point.
     The last element is gcd(p, p') up to a constant factor, so it is
     constant exactly when p is squarefree.
     """
-    chain = [poly_trim(p), poly_trim(poly_deriv(p))]
+    chain = [_integer_poly(p)]
+    chain.append(_primitive(poly_deriv(chain[0])))
     while chain[-1]:
-        rem = poly_divmod(chain[-2], chain[-1])[1]
-        chain.append([-c for c in rem])
+        chain.append([-c for c in _primitive(_pseudo_rem(chain[-2], chain[-1]))])
     return chain[:-1]
 
 
-def _sign_variations(chain: list[Poly], x: Fraction) -> int:
-    signs = []
-    for q in chain:
-        v = poly_eval(q, x)
-        if v != 0:
-            signs.append(1 if v > 0 else -1)
+def _sign_variations(chain: list[list[int]], x: Fraction) -> int:
+    signs = [s for s in (_sign_at(q, x) for q in chain) if s]
     return sum(1 for s1, s2 in zip(signs, signs[1:]) if s1 != s2)
 
 
-def count_roots(chain: list[Poly], a: Fraction, b: Fraction) -> int:
+def count_roots(chain: list[list[int]], a: Fraction, b: Fraction) -> int:
     """Number of distinct real roots in the half-open interval (a, b]."""
     return _sign_variations(chain, a) - _sign_variations(chain, b)
 
@@ -98,18 +150,20 @@ def cauchy_bound(p: Poly) -> Fraction:
     """Strict bound B with every real root in (-B, B)."""
     p = poly_trim(p)
     lead = abs(p[-1])
-    return 1 + max((abs(c) / lead for c in p[:-1]), default=Fraction(0))
+    return 1 + max((Fraction(abs(c), lead) for c in p[:-1]),
+                   default=Fraction(0))
 
 
 @dataclass(frozen=True)
 class RootEnclosure:
     """Open rational interval certified to contain exactly one real root
-    of ``polynomial`` (None for enclosures derived by interval arithmetic,
-    e.g. Kronecker products)."""
+    of ``polynomial``: the primitive integer squarefree part of the
+    polynomial whose roots were isolated (None for enclosures derived by
+    interval arithmetic, e.g. Kronecker products)."""
 
     low: Fraction
     high: Fraction
-    polynomial: tuple[Fraction, ...] | None
+    polynomial: tuple[int, ...] | None
 
     @property
     def width(self) -> Fraction:
@@ -120,14 +174,27 @@ class RootEnclosure:
         return (self.low + self.high) / 2
 
 
+def _squarefree_chain(p: Poly) -> tuple[list[int], list[list[int]]]:
+    """Squarefree part q = p / gcd(p, p') of p, made primitive over Z with
+    the sign of p's leading coefficient, and the Sturm chain of q."""
+    chain = sturm_chain(p)
+    q, gcd = chain[0], chain[-1]
+    if len(gcd) > 1:  # repeated root: divide out the gcd
+        q = _exact_quotient(q, gcd)
+        if (q[-1] > 0) != (chain[0][-1] > 0):
+            q = [-c for c in q]
+        chain = sturm_chain(q)
+    return q, chain
+
+
 def _exact_root_enclosure(
-    q: Poly, chain: list[Poly], root: Fraction, radius: Fraction
+    q: list[int], chain: list[list[int]], root: Fraction, radius: Fraction
 ) -> RootEnclosure:
     # shrink a symmetric interval around an exactly-hit root until its
     # endpoints are not roots and no other root sneaks in
     while (
-        poly_eval(q, root - radius) == 0
-        or poly_eval(q, root + radius) == 0
+        _sign_at(q, root - radius) == 0
+        or _sign_at(q, root + radius) == 0
         or count_roots(chain, root - radius, root + radius) != 1
     ):
         radius /= 2
@@ -137,19 +204,17 @@ def _exact_root_enclosure(
 def isolate_real_roots(p: Poly) -> list[RootEnclosure]:
     """Sorted, pairwise-disjoint enclosures of all distinct real roots of p.
 
-    Each enclosure carries the squarefree part q of p, which has the same
-    roots: p itself when p is squarefree, else p / gcd(p, p').
+    Each enclosure carries the primitive integer squarefree part q of p,
+    which has the same roots.  Every bisection endpoint is -B, B, a
+    midpoint that is not a root or an end of an exact-hit enclosure, so no
+    endpoint is a root and the enclosures never overlap.
     """
     p = poly_trim([Fraction(c) for c in p])
     if not p:
         raise DomainError("cannot isolate roots of the zero polynomial")
-    if len(p) <= 1:
+    q, chain = _squarefree_chain(p)
+    if len(q) <= 1:
         return []
-    q, chain = p, sturm_chain(p)
-    gcd = chain[-1]
-    if len(gcd) > 1:  # repeated root: divide out the monic gcd
-        q = poly_divmod(p, [c / gcd[-1] for c in gcd])[0]
-        chain = sturm_chain(q)
     bound = cauchy_bound(q)
     out: list[RootEnclosure] = []
     stack = [(-bound, bound)]
@@ -159,13 +224,10 @@ def isolate_real_roots(p: Poly) -> list[RootEnclosure]:
         if k == 0:
             continue
         if k == 1:
-            if poly_eval(q, b) == 0:
-                out.append(_exact_root_enclosure(q, chain, b, (b - a) / 2))
-            else:
-                out.append(RootEnclosure(a, b, tuple(q)))
+            out.append(RootEnclosure(a, b, tuple(q)))
             continue
         mid = (a + b) / 2
-        if poly_eval(q, mid) == 0:
+        if _sign_at(q, mid) == 0:
             enc = _exact_root_enclosure(q, chain, mid, (b - a) / 4)
             out.append(enc)
             stack.append((a, enc.low))
@@ -173,14 +235,7 @@ def isolate_real_roots(p: Poly) -> list[RootEnclosure]:
         else:
             stack.append((a, mid))
             stack.append((mid, b))
-    out.sort(key=lambda e: e.low)
-    # exact root hits can leave neighbouring enclosures overlapping;
-    # refine until the intervals are pairwise disjoint
-    for i in range(len(out) - 1):
-        while out[i].high > out[i + 1].low:
-            out[i] = refine_root(out[i], out[i].width / 4)
-            out[i + 1] = refine_root(out[i + 1], out[i + 1].width / 4)
-    return out
+    return sorted(out, key=lambda e: e.low)
 
 
 def refine_root(enc: RootEnclosure, tol: Fraction) -> RootEnclosure:
@@ -192,20 +247,20 @@ def refine_root(enc: RootEnclosure, tol: Fraction) -> RootEnclosure:
         raise DomainError("cannot refine an enclosure without its polynomial")
     if enc.width <= tol:
         return enc
-    q = list(enc.polynomial)
+    q = enc.polynomial
     low, high = enc.low, enc.high
-    sign_low = poly_eval(q, low)
+    sign_low = _sign_at(q, low)
     # squarefree polynomial with one root in the open interval: endpoint
     # signs are nonzero and opposite
     while high - low > tol:
         mid = (low + high) / 2
-        v = poly_eval(q, mid)
-        if v == 0:
+        sign = _sign_at(q, mid)
+        if sign == 0:
             radius = min(tol / 2, (mid - low) / 2, (high - mid) / 2)
-            while poly_eval(q, mid - radius) == 0 or poly_eval(q, mid + radius) == 0:
+            while _sign_at(q, mid - radius) == 0 or _sign_at(q, mid + radius) == 0:
                 radius /= 2
             return RootEnclosure(mid - radius, mid + radius, enc.polynomial)
-        if (v > 0) == (sign_low > 0):
+        if sign == sign_low:
             low = mid
         else:
             high = mid
@@ -216,7 +271,12 @@ def refine_root(enc: RootEnclosure, tol: Fraction) -> RootEnclosure:
 
 
 def char_poly(a: Matrix) -> Poly:
-    """det(lambda I - A) via the Faddeev-LeVerrier recurrence, exact."""
+    """det(lambda I - A) via the Faddeev-LeVerrier recurrence, exact.
+
+    The recurrence runs on the integer matrix N = d A, d the lcm of the
+    entry denominators; coefficient k of det(lambda I - N) is d^(n-k) times
+    that of det(lambda I - A).
+    """
     n = len(a)
     if any(len(row) != n for row in a):
         raise DomainError("matrix must be square")
@@ -224,19 +284,20 @@ def char_poly(a: Matrix) -> Poly:
         raise DomainError(
             f"dimension {n} exceeds the exact char-poly guard of {CHAR_POLY_MAX_DIM}"
         )
-    coeffs = [Fraction(0)] * (n + 1)
-    coeffs[n] = Fraction(1)
-    m = [row[:] for row in a]
+    d = math.lcm(*(x.denominator for row in a for x in row))
+    big = [[x.numerator * (d // x.denominator) for x in row] for row in a]
+    coeffs = [0] * (n + 1)
+    coeffs[n] = 1
+    m = [row[:] for row in big]
     for k in range(1, n + 1):
-        c = -sum(m[i][i] for i in range(n)) / k
+        c = -sum(m[i][i] for i in range(n)) // k
         coeffs[n - k] = c
         if k < n:
-            shifted = [
-                [m[i][j] + (c if i == j else 0) for j in range(n)]
-                for i in range(n)
-            ]
-            m = mat_mul(a, shifted)
-    return coeffs
+            for i in range(n):
+                m[i][i] += c
+            cols = list(zip(*m))
+            m = [[sum(map(operator.mul, row, col)) for col in cols] for row in big]
+    return [Fraction(c, d ** (n - k)) for k, c in enumerate(coeffs)]
 
 
 @dataclass(frozen=True)
@@ -262,23 +323,42 @@ def refine_report(rep: SpectralReport, tol: Fraction) -> SpectralReport:
 def _smallest_eigenvalue(a: Matrix) -> RootEnclosure:
     """Enclosure of the smallest eigenvalue; errors unless the spectrum is real.
 
-    The characteristic polynomial and its squarefree part have the same
-    roots, so every eigenvalue is real exactly when the squarefree part has
-    as many distinct real roots as its degree.
+    The characteristic polynomial and its squarefree part q have the same
+    roots, so every eigenvalue is real exactly when q has deg q distinct
+    real roots in (-B, B].  The bisection then descends along the leftmost
+    root only; the first interval holding exactly one root is the
+    enclosure ``isolate_real_roots`` finds for it.
     """
-    roots = isolate_real_roots(char_poly(a))
-    if not roots or len(roots) != len(roots[0].polynomial) - 1:
+    q, chain = _squarefree_chain(char_poly(a))
+    low = -cauchy_bound(q)
+    high = -low
+    v_low, v_high = _sign_variations(chain, low), _sign_variations(chain, high)
+    if v_low == v_high or v_low - v_high != len(q) - 1:
         raise SpectralAssumptionError(
             "not every eigenvalue is real; matrix is outside the totally "
             "positive regime this module assumes"
         )
-    return roots[0]
+    while v_low - v_high > 1:
+        mid = (low + high) / 2
+        if _sign_at(q, mid) == 0:
+            enc = _exact_root_enclosure(q, chain, mid, (high - low) / 4)
+            v_enc = _sign_variations(chain, enc.low)
+            if v_enc == v_low:  # no root left of the one hit
+                return enc
+            high, v_high = enc.low, v_enc
+            continue
+        v_mid = _sign_variations(chain, mid)
+        if v_mid < v_low:
+            high, v_high = mid, v_mid
+        else:
+            low = mid
+    return RootEnclosure(low, high, tuple(q))
 
 
 def _separated_from_zero(enc: RootEnclosure) -> RootEnclosure | None:
     """``enc`` refined until its low end is positive, or None when its root
     is not positive."""
-    if enc.low <= 0 and poly_eval(list(enc.polynomial), Fraction(0)) == 0:
+    if enc.low <= 0 and enc.polynomial[0] == 0:
         return None  # zero is the root: no refinement can separate it
     while enc.low <= 0 < enc.high:
         enc = refine_root(enc, enc.width / 4)

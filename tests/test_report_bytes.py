@@ -20,6 +20,8 @@ PINNED = [
      "37505d3dd1b818cef45b727a051b7363413499244afc87f5c58ce75817ad3ca3"),
     ("verify --part all --degrees 1,2,3 --seed 193 --format csv",
      "14a2e1b7b7408c4101728cf28972a60d15536737bc9bc609e153f34d526c12ee"),
+    ("tables --which 1,2 --degrees 6,7,8,9,10,11 --format json",
+     "8199a368fc23545b36582198c3f6eb405acaeda00a66fc04d38f5aea0dd5b73b"),
 ]
 
 

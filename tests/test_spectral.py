@@ -5,11 +5,21 @@ import pytest
 
 from tpbases.bases import BasisFamily, BasisSpec, standard_nodes
 from tpbases.errors import DomainError, SpectralAssumptionError
-from tpbases.linalg import as_matrix, collocation_matrix, identity, kronecker
+from tpbases.linalg import (
+    as_matrix,
+    collocation_matrix,
+    identity,
+    kronecker,
+    mat_mul,
+    transpose,
+)
 from tpbases.render import render_enclosure
 from tpbases.spectral import (
+    CHAR_POLY_MAX_DIM,
     RootEnclosure,
+    _smallest_eigenvalue,
     char_poly,
+    count_roots,
     float_crosscheck,
     isolate_real_roots,
     kron_min_spectral,
@@ -49,7 +59,28 @@ def test_char_poly_diagonal():
 
 def test_char_poly_guard():
     with pytest.raises(DomainError):
-        char_poly(identity(13))
+        char_poly(identity(CHAR_POLY_MAX_DIM + 1))
+
+
+def _random_rational_matrix(rng, n):
+    # mixed denominators; the diagonal leans negative, so most traces (and
+    # many Faddeev-LeVerrier traces after it) are negative and the exact
+    # integer division by k sees negative dividends
+    dens = (1, 2, 3, 5, 7, 12)
+    return [[F(rng.randint(-9, 3 if i == j else 9), rng.choice(dens))
+             for j in range(n)] for i in range(n)]
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_char_poly_matches_sympy(seed):
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(seed)
+    n = 1 + seed % 7
+    m = _random_rational_matrix(rng, n)
+    oracle = sympy.Matrix([[sympy.Rational(v.numerator, v.denominator)
+                            for v in row] for row in m]).charpoly()
+    expected = [F(int(c.p), int(c.q)) for c in reversed(oracle.all_coeffs())]
+    assert char_poly(as_matrix(m)) == expected
 
 
 # --- root isolation ---
@@ -90,12 +121,136 @@ def test_isolate_handles_dyadic_root_hit():
     assert roots[1].low < F(3, 4) < roots[1].high
 
 
+def test_isolated_dyadic_roots_are_disjointly_enclosed():
+    # dyadic roots are hit exactly by bisection midpoints; the exact-hit
+    # enclosures must still be disjoint from every other enclosure
+    rng = random.Random(11)
+    for _ in range(200):
+        roots = sorted({F(rng.randint(-16, 16), 2 ** rng.randint(0, 3))
+                        for _ in range(rng.randint(1, 6))})
+        p = [F(rng.choice((1, -3, F(2, 7))))]
+        for r in roots:  # p * (x - r)
+            p = [a - r * b for a, b in zip([F(0)] + p, p + [F(0)])]
+        encs = isolate_real_roots(p)
+        chain = sturm_chain(list(encs[0].polynomial))
+        assert len(encs) == len(roots)
+        for enc, root in zip(encs, roots):
+            assert enc.low < root < enc.high
+            assert count_roots(chain, enc.low, enc.high) == 1
+        for left, right in zip(encs, encs[1:]):
+            assert left.high <= right.low
+
+
 def test_enclosure_sign_check():
     for p in (frs(2, -3, 1), frs(-2, 0, 1), frs(F(3, 8), F(-5, 4), 1),
               frs(-2, 5, -4, 1)):
         for enc in isolate_real_roots(p):
             q = list(enc.polynomial)
             assert poly_eval(q, enc.low) * poly_eval(q, enc.high) <= 0
+
+
+def test_count_roots_on_exact_hits():
+    chain = sturm_chain(frs(-6, 11, -6, 1))  # roots 1, 2, 3
+    assert count_roots(chain, 1, 3) == 2
+    assert count_roots(chain, 0, 1) == 1
+    assert count_roots(chain, F(3, 2), F(5, 2)) == 1
+
+
+def test_sturm_chain_is_positive_multiple_of_classical_chain():
+    # sparse polynomials make remainder degrees drop by two or more, where
+    # a negative leading coefficient raised to an odd power would flip a sign
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = random.Random(3)
+    checked = 0
+    while checked < 40:
+        coeffs = [rng.choice((0, 0, 0, -3, -2, -1, 1, 2, 3))
+                  for _ in range(rng.randint(3, 9))] + [rng.choice((-2, 1))]
+        chain = sturm_chain(coeffs)
+        if len(chain[-1]) > 1:  # sympy's chain is that of the squarefree part
+            continue
+        classical = sympy.sturm(sympy.Poly(list(reversed(coeffs)), x))
+        assert len(chain) == len(classical)
+        signs = set()
+        for ours, theirs in zip(chain, classical):
+            theirs = [F(int(c.p), int(c.q)) for c in reversed(theirs.all_coeffs())]
+            ratio = ours[-1] / theirs[-1]
+            assert ours == [c * ratio for c in theirs]
+            signs.add(ratio > 0)
+        assert len(signs) == 1  # sympy's chain may differ by one global sign
+        checked += 1
+
+
+def test_count_roots_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    points = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+
+    @hypothesis.settings(derandomize=True, database=None, max_examples=150,
+                         deadline=None)
+    @hypothesis.given(st.lists(st.integers(-9, 9), min_size=2, max_size=8)
+                      .filter(lambda c: c[-1] != 0), points, points)
+    def check(coeffs, a, b):
+        a, b = min(a, b), max(a, b)
+        chain = sturm_chain(coeffs)
+        hypothesis.assume(len(chain[-1]) == 1)  # squarefree
+        x = sympy.Symbol("x")
+        poly = sympy.Poly(list(reversed(coeffs)), x)
+        lo = sympy.Rational(a.numerator, a.denominator)
+        hi = sympy.Rational(b.numerator, b.denominator)
+        # sympy counts distinct roots in the closed interval [a, b]
+        expected = poly.count_roots(lo, hi) - (poly.eval(lo) == 0)
+        assert count_roots(chain, a, b) == expected
+
+    check()
+
+
+# --- smallest-root descent ---
+
+def _plain_collocation_matrices(degrees):
+    for n in degrees:
+        for family in BasisFamily:
+            yield collocation_matrix(BasisSpec(family, n), standard_nodes(n))
+        yield collocation_matrix(BasisSpec(BasisFamily.DP, n,
+                                           dp_literal_middle=True),
+                                 standard_nodes(n))
+
+
+def test_descent_finds_the_smallest_isolated_root():
+    # the descent follows the bisection tree of isolate_real_roots along
+    # the leftmost root only, so it ends at the same enclosure
+    for m in _plain_collocation_matrices(range(1, 12)):
+        for a in (m, mat_mul(transpose(m), m)):
+            assert _smallest_eigenvalue(a) == \
+                isolate_real_roots(char_poly(a))[0]
+
+
+@pytest.mark.parametrize("diagonal", [(1, 2, 3), (0, 1)])
+def test_descent_through_exact_hits(diagonal):
+    # diag(1, 2, 3): B = 12 and the midpoint 3 is an eigenvalue, so the
+    # descent continues left of the hit root; diag(0, 1): the first
+    # midpoint 0 is the smallest eigenvalue, so the descent stops there
+    m = as_matrix([[v if i == j else 0 for j in range(len(diagonal))]
+                   for i, v in enumerate(diagonal)])
+    enc = _smallest_eigenvalue(m)
+    assert enc.low < diagonal[0] < enc.high
+    assert count_roots(sturm_chain(list(enc.polynomial)), enc.low,
+                       enc.high) == 1
+    assert enc == isolate_real_roots(char_poly(m))[0]
+
+
+@pytest.mark.parametrize("n", [14, 16])
+def test_min_eigenvalue_beyond_the_old_guard_matches_sympy(n):
+    sympy = pytest.importorskip("sympy")
+    m = collocation_matrix(BasisSpec(BasisFamily.DP, n), standard_nodes(n))
+    oracle = sympy.Matrix([[sympy.Rational(v.numerator, v.denominator)
+                            for v in row] for row in m])
+    smallest = min(sympy.real_roots(oracle.charpoly(sympy.Symbol("x"))))
+    enc = min_eigenvalue(m, TOL30)
+    assert enc.width <= TOL30
+    assert sympy.Rational(enc.low.numerator, enc.low.denominator) < smallest
+    assert smallest < sympy.Rational(enc.high.numerator, enc.high.denominator)
 
 
 # --- refinement ---
