@@ -19,6 +19,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import compress
+from operator import sub
 
 from .errors import DomainError, SearchExhaustedError
 from .rng import SplitMix64
@@ -199,15 +201,30 @@ def convert_bernstein_weights(n: int, w) -> WeightConversionResult:
     return WeightConversionResult(w, saidball, monomial, dp, all_positive)
 
 
-def _monomial_coeffs_positive(w: list[int], n: int) -> bool:
+def _monomial_prechecked(vals: list[int], n: int, count: int) -> list[int]:
+    """Indices i < count, ascending, of the vectors vals[i(n+1):(i+1)(n+1)]
+    whose monomial coefficients are all positive."""
     # The monomial coefficients of sum w_j b_j^n are C(n,k) * (k-th forward
     # difference of w at 0), so positivity reduces to positive differences.
-    d = w
+    # The table is built column-wise: column j holds entry j of every vector.
+    k = n + 1
+    cols = [vals[j:count * k:k] for j in range(k)]
+    index = list(range(count))
     for _ in range(n):
-        d = [d[i + 1] - d[i] for i in range(len(d) - 1)]
-        if d[0] <= 0:
-            return False
-    return True
+        # the next order's leading difference is positive
+        keep = [a < b for a, b in zip(cols[0], cols[1])]
+        index = list(compress(index, keep))
+        if not index:
+            break
+        cols = [list(compress(c, keep)) for c in cols]
+        cols = [list(map(sub, b, a)) for a, b in zip(cols, cols[1:])]
+    return index
+
+
+def _raw_count(block: list[int], span: int, m: int) -> int:
+    """Number of outputs of ``block`` up to and including its m-th value
+    below span, i.e. those ``randint`` consumed to accept m values."""
+    return [i for i, v in enumerate(block) if v < span][m - 1] + 1
 
 
 def search_positive_weights(
@@ -223,7 +240,17 @@ def search_positive_weights(
 
     Either a seed or an already-running generator must be supplied; passing
     a generator lets several searches share one deterministic stream.
+
+    The vectors, their order and the generator state afterwards are those
+    of drawing each vector with n+1 calls of ``rng.randint(lo, hi)`` and
+    stopping after the first vector that converts, or after ``max_iter``
+    vectors.  The stream is evaluated a block of outputs at a time: the
+    values ``randint`` would accept are grouped into vectors, a column-wise
+    integer pre-check drops those with a non-positive monomial coefficient,
+    and only the survivors reach the exact conversion, in stream order.
     """
+    if n < 1:
+        raise DomainError(f"degree must be >= 1, got {n}")
     if not 1 <= lo <= hi:
         raise DomainError(f"need 1 <= lo <= hi, got lo={lo}, hi={hi}")
     if max_iter < 1:
@@ -233,12 +260,25 @@ def search_positive_weights(
             raise DomainError("either seed or rng must be given")
         rng = SplitMix64(seed)
 
-    for _ in range(max_iter):
-        w = [rng.randint(lo, hi) for _ in range(n + 1)]
-        # cheap integer pre-check; the exact conversion below is the oracle
-        if not _monomial_coeffs_positive(w, n):
-            continue
-        result = convert_bernstein_weights(n, w)
-        if result.all_positive:
-            return result
-    raise SearchExhaustedError(max_iter, seed)
+    k = n + 1
+    span = hi - lo + 1
+    mask = (1 << (span - 1).bit_length()) - 1  # randint's covering range
+    pending: list[int] = []  # accepted values of a vector the block cut off
+    remaining = max_iter
+    while True:
+        block = rng.masked_block(mask)
+        vals = pending + [v for v in block if v < span]
+        count = min(len(vals) // k, remaining)
+        # cheap integer pre-check; the exact conversion is the oracle
+        for i in _monomial_prechecked(vals, n, count):
+            w = [lo + v for v in vals[i * k:(i + 1) * k]]
+            result = convert_bernstein_weights(n, w)
+            if result.all_positive:
+                rng.skip(_raw_count(block, span, (i + 1) * k - len(pending)))
+                return result
+        remaining -= count
+        if not remaining:
+            rng.skip(_raw_count(block, span, count * k - len(pending)))
+            raise SearchExhaustedError(max_iter, seed)
+        pending = vals[count * k:]
+        rng.skip(len(block))

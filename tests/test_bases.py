@@ -1,3 +1,4 @@
+import copy
 import random
 from fractions import Fraction as F
 
@@ -5,6 +6,7 @@ import pytest
 
 from tpbases.bases import (
     BasisFamily,
+    _monomial_prechecked,
     BasisSpec,
     binomial,
     convert_bernstein_weights,
@@ -14,7 +16,7 @@ from tpbases.bases import (
     standard_nodes,
 )
 from tpbases.errors import DomainError, SearchExhaustedError
-from tpbases.rng import SplitMix64
+from tpbases.rng import BLOCK, SplitMix64
 
 NORMALIZED_FAMILIES = (BasisFamily.BERNSTEIN, BasisFamily.SAID_BALL, BasisFamily.DP)
 
@@ -272,6 +274,105 @@ def test_search_argument_validation():
         search_positive_weights(3, 1, 10)  # neither seed nor rng
 
 
+@pytest.mark.parametrize("n", [0, -1, -3])
+def test_search_rejects_degree_below_one(n):
+    with pytest.raises(DomainError):
+        search_positive_weights(n, 1, 10, seed=1)
+
+
+def _monomial_coeffs_positive(w, n):
+    d = w
+    for _ in range(n):
+        d = [d[i + 1] - d[i] for i in range(len(d) - 1)]
+        if d[0] <= 0:
+            return False
+    return True
+
+
+def _reference_search(n, lo, hi, max_iter, rng):
+    # the per-draw loop the block-evaluated search must reproduce exactly:
+    # n+1 randint calls per vector, the monomial pre-check on the forward
+    # differences, then the exact conversion
+    for _ in range(max_iter):
+        w = [rng.randint(lo, hi) for _ in range(n + 1)]
+        if not _monomial_coeffs_positive(w, n):
+            continue
+        result = convert_bernstein_weights(n, w)
+        if result.all_positive:
+            return result
+    raise SearchExhaustedError(max_iter, None)
+
+
+def _outcome(search, n, lo, hi, max_iter, rng):
+    """The search's result (or None when exhausted) and the generator's
+    next output, read from a copy so that the stream goes on unchanged."""
+    try:
+        result = search(n, lo, hi, max_iter=max_iter, rng=rng)
+    except SearchExhaustedError:
+        result = None
+    return result, copy.copy(rng).next_uint64()
+
+
+def _block_search(n, lo, hi, max_iter, rng):
+    return search_positive_weights(n, lo, hi, max_iter=max_iter, rng=rng)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+def test_monomial_precheck_keeps_exactly_the_positive_vectors(n):
+    # the survivors, not just the search's outcome, match the per-vector
+    # check, so the exact conversion runs as often as in the reference loop
+    k = n + 1
+    rng = random.Random(n)
+    vals = []
+    for _ in range(60):
+        # vector from its leading differences, each of them 0..3: about
+        # (3/4)^n of the vectors pass, and the others fail at a zero
+        lead = [rng.randint(0, 3) for _ in range(k)]
+        vals += [sum(binomial(j, m) * lead[m] for m in range(j + 1))
+                 for j in range(k)]
+    vals += [rng.randint(0, 9) for _ in range(n)]  # a partial vector
+    expected = [i for i in range(60)
+                if _monomial_coeffs_positive(vals[i * k:(i + 1) * k], n)]
+    assert expected
+    assert _monomial_prechecked(vals, n, 60) == expected
+
+
+@pytest.mark.parametrize("seed", [82, 139])
+def test_search_matches_reference_loop_on_a_shared_stream(seed):
+    ref_rng, rng = SplitMix64(seed), SplitMix64(seed)
+    for n in (3, 4, 5):
+        expected = _outcome(_reference_search, n, 1, 1000, 10**6, ref_rng)
+        assert expected[0] is not None
+        assert _outcome(_block_search, n, 1, 1000, 10**6, rng) == expected
+
+
+def test_search_vector_longer_than_a_block():
+    # n + 1 > BLOCK: every vector spans two blocks, and both exhaust
+    args = (BLOCK + 5, 1, 2, 2)
+    expected = _outcome(_reference_search, *args, SplitMix64(11))
+    assert expected[0] is None
+    assert _outcome(_block_search, *args, SplitMix64(11)) == expected
+
+
+def test_search_matches_reference_loop_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(derandomize=True, database=None, max_examples=120,
+                         deadline=None)
+    @hypothesis.given(n=st.integers(1, 4), lo=st.integers(1, 6),
+                      # lo == hi, spans of 2^k and of 2^k + 1
+                      span=st.sampled_from([1, 2, 3, 4, 5, 8, 9, 16, 17, 1000]),
+                      max_iter=st.integers(1, 3000),
+                      seed=st.integers(0, 2**64 - 1))
+    def check(n, lo, span, max_iter, seed):
+        args = (n, lo, lo + span - 1, max_iter)
+        expected = _outcome(_reference_search, *args, SplitMix64(seed))
+        assert _outcome(_block_search, *args, SplitMix64(seed)) == expected
+
+    check()
+
+
 # --- generator ---
 
 def test_splitmix64_known_stream():
@@ -295,3 +396,23 @@ def test_splitmix64_randint_range_and_determinism():
 def test_splitmix64_degenerate_range():
     rng = SplitMix64(1)
     assert rng.randint(7, 7) == 7
+
+
+@pytest.mark.parametrize("seed", [0, -1, 2**64 - 1])
+@pytest.mark.parametrize("mask", [0, 1023, 2**64 - 1, 2**130 - 1])
+def test_masked_block_equals_masked_draws(seed, mask):
+    rng = SplitMix64(seed)
+    rng.next_uint64()
+    block = rng.masked_block(mask)
+    assert rng.masked_block(mask) == block  # the state did not move
+    assert block == [rng.next_uint64() & mask for _ in range(BLOCK)]
+
+
+@pytest.mark.parametrize("k", [0, 1, 7, BLOCK, 3 * BLOCK + 5])
+def test_skip_equals_repeated_draws(k):
+    skipped, drawn = SplitMix64(2024), SplitMix64(2024)
+    skipped.skip(k)
+    for _ in range(k):
+        drawn.next_uint64()
+    assert [skipped.next_uint64() for _ in range(3)] == [
+        drawn.next_uint64() for _ in range(3)]
