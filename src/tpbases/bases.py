@@ -123,15 +123,7 @@ def eval_basis_function(spec: BasisSpec, i: int, x: Fraction) -> Fraction:
     n = spec.degree
     if not 0 <= i <= n:
         raise DomainError(f"index {i} out of range [0, {n}]")
-    x = _check_point(x)
-    plain = _PLAIN_EVAL[spec.family]
-    if spec.weights is None:
-        return plain(n, i, x, spec.dp_literal_middle)
-    total = sum(
-        w * plain(n, j, x, spec.dp_literal_middle)
-        for j, w in enumerate(spec.weights)
-    )
-    return spec.weights[i] * plain(n, i, x, spec.dp_literal_middle) / total
+    return eval_basis_row(spec, x)[i]
 
 
 def eval_basis_row(spec: BasisSpec, x: Fraction) -> list[Fraction]:

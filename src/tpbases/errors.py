@@ -27,7 +27,8 @@ class SearchExhaustedError(RuntimeError):
     """The randomized positive-weight search hit its iteration budget."""
 
     def __init__(self, max_iter: int, seed: int | None = None):
-        msg = f"no all-positive weight system found within {max_iter} draws"
+        msg = ("no all-positive weight system found within "
+               f"{max_iter} weight vectors")
         if seed is not None:
             msg += f" (seed={seed})"
         super().__init__(msg)

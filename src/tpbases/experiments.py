@@ -113,6 +113,9 @@ class OrderingVerdict:
     witness: tuple | None = None
 
 
+_HOLDS_TEXT = {True: "true", False: "false", None: "indeterminate"}
+
+
 def _grid_matrix(family: BasisFamily, n: int, weights=None,
                  dp_literal_middle: bool = False) -> Matrix:
     spec = BasisSpec(family, n, weights=weights,
@@ -417,8 +420,7 @@ def _render_md(rows, verdicts, config, weights, dp_variant) -> str:
     if verdicts:
         lines += ["## Ordering verdicts", ""]
         header = ["part", "degree", "variant", "pair", "holds"]
-        body = [[v.part, str(v.degree), v.variant, v.pair,
-                 {True: "true", False: "false", None: "indeterminate"}[v.holds]]
+        body = [[v.part, str(v.degree), v.variant, v.pair, _HOLDS_TEXT[v.holds]]
                 for v in verdicts]
         lines += _md_table(header, body) + [""]
     return "\n".join(lines)
@@ -433,9 +435,8 @@ def _render_csv(rows, verdicts, weights) -> str:
         for name, vec in _weight_strings(weights[n]).items():
             lines.append(f"weights,{n},{name},weights,{' '.join(vec)}")
     for v in verdicts or []:
-        holds = {True: "true", False: "false", None: "indeterminate"}[v.holds]
         lines.append(f"verdict,{v.degree},{v.variant},"
-                     f"{v.part}:{v.pair},{holds}")
+                     f"{v.part}:{v.pair},{_HOLDS_TEXT[v.holds]}")
     return "\n".join(lines) + "\n"
 
 

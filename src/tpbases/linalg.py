@@ -2,10 +2,12 @@
 
 A matrix is a list of equal-length lists of ``fractions.Fraction``.  All
 operations here are exact; floating point appears nowhere in this module.
+``inverse``, ``solve`` and ``det`` share one elimination over the integers.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -66,24 +68,34 @@ def inf_norm(a: Matrix) -> Fraction:
     return max(sum(abs(v) for v in row) for row in a)
 
 
-def _eliminate(a: Matrix, rhs: Matrix) -> Matrix:
-    """Gauss-Jordan with exact arithmetic; returns the transformed rhs."""
+def _eliminate(a: Matrix, rhs: Matrix) -> tuple[Fraction, Matrix]:
+    """Fraction-free Gauss-Jordan on [A | rhs]; returns det(A), A^-1 rhs.
+
+    Each row is scaled to integers by the lcm of its denominators, which
+    keeps the solution; ``scale`` is their product, negated per row swap.
+    Every division (p*v - f*w) // prev is exact by Sylvester's identity
+    (Bareiss, Math. Comp. 22, 1968), and the left block ends as p_last*I.
+    """
     n = len(a)
-    m = [row[:] + aug[:] for row, aug in zip(a, rhs)]
+    m, scale, prev = [], 1, 1
+    for row, aug in zip(a, rhs):
+        s = math.lcm(*(v.denominator for v in row + aug))
+        m.append([v.numerator * (s // v.denominator) for v in row + aug])
+        scale *= s
     for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
+        pivot = next((r for r in range(col, n) if m[r][col]), None)
         if pivot is None:
             raise SingularMatrixError(col)
         if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-        pv = m[col][col]
-        if pv != 1:
-            m[col] = [v / pv for v in m[col]]
+            m[col], m[pivot], scale = m[pivot], m[col], -scale
+        p = m[col][col]
         for r in range(n):
-            if r != col and m[r][col] != 0:
+            if r != col:
                 f = m[r][col]
-                m[r] = [v - f * w for v, w in zip(m[r], m[col])]
-    return [row[n:] for row in m]
+                m[r] = [(p * v - f * w) // prev for v, w in zip(m[r], m[col])]
+        prev = p
+    return Fraction(prev, scale), [[Fraction(v, prev) for v in row[n:]]
+                                   for row in m]
 
 
 def inverse(a: Matrix) -> Matrix:
@@ -91,7 +103,7 @@ def inverse(a: Matrix) -> Matrix:
     n = len(a)
     if any(len(row) != n for row in a):
         raise DomainError("matrix must be square")
-    return _eliminate(a, identity(n))
+    return _eliminate(a, identity(n))[1]
 
 
 def solve(a: Matrix, b) -> list[Fraction]:
@@ -101,8 +113,7 @@ def solve(a: Matrix, b) -> list[Fraction]:
         raise DomainError("matrix must be square")
     if len(b) != n:
         raise DomainError("right-hand side has wrong length")
-    col = _eliminate(a, [[Fraction(v)] for v in b])
-    return [row[0] for row in col]
+    return [row[0] for row in _eliminate(a, [[Fraction(v)] for v in b])[1]]
 
 
 def cond_inf(a: Matrix) -> Fraction:
@@ -124,23 +135,11 @@ def dominates(a: Matrix, c: Matrix) -> bool:
 
 
 def det(a: Matrix) -> Fraction:
-    """Exact determinant by fraction-preserving Gaussian elimination."""
-    n = len(a)
-    m = [row[:] for row in a]
-    d = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            d = -d
-        for r in range(col + 1, n):
-            if m[r][col] != 0:
-                f = m[r][col] / m[col][col]
-                m[r] = [v - f * w for v, w in zip(m[r], m[col])]
-        d *= m[col][col]
-    return d
+    """Exact determinant, from the same elimination as ``inverse``."""
+    try:
+        return _eliminate(a, [[]] * len(a))[0]
+    except SingularMatrixError:
+        return Fraction(0)
 
 
 @dataclass(frozen=True)

@@ -438,8 +438,6 @@ def sqrt_enclosure(low: Fraction, high: Fraction) -> tuple[Fraction, Fraction]:
     on sqrt(high) keeps at least 19 significant digits however small high
     is.
     """
-    import math
-
     if low < 0:
         raise DomainError("cannot take the square root of a negative bound")
     digits = 40

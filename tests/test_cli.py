@@ -56,7 +56,7 @@ def test_search_exhaustion_exit_code(capsys):
     assert main(["tables", "--which", "3", "--degrees", "5",
                  "--seed", "1", "--max-iter", "10"]) == 3
     captured = capsys.readouterr()
-    assert "draws" in captured.err
+    assert "weight vectors" in captured.err
 
 
 def test_env_seed_fallback(monkeypatch, tmp_path):

@@ -230,3 +230,64 @@ def test_grid_collocations_are_tp(family, n):
     weighted = collocation_matrix(BasisSpec(family, n, weights=weights),
                                   standard_nodes(n))
     assert is_totally_positive(weighted).is_tp
+
+
+# --- the integer elimination against sympy ---
+
+def _sympy_matrix(sympy, m):
+    return sympy.Matrix([[sympy.Rational(v.numerator, v.denominator)
+                          for v in row] for row in m])
+
+
+def _from_sympy(m):
+    return [[F(int(v.p), int(v.q)) for v in m.row(i)] for i in range(m.rows)]
+
+
+def _oracle_matrix(seed):
+    """n = 1..8, mixed denominators, zero entries; in about one case of
+    three a column is made a combination of the columns before it."""
+    rng = random.Random(seed)
+    n = seed % 8 + 1
+    a = [[F(rng.choice((0, 1, 1, 1)) * rng.randint(-9, 9),
+            rng.choice((1, 2, 3, 5, 7, 12))) for _ in range(n)]
+         for _ in range(n)]
+    if rng.random() < 0.35:
+        j = rng.randrange(n)
+        coeffs = [F(rng.randint(-4, 4), rng.randint(1, 6)) for _ in range(j)]
+        for row in a:
+            row[j] = sum((c * v for c, v in zip(coeffs, row)), F(0))
+    return a
+
+
+# a zero (0, 0) entry makes the first step swap rows, which flips det's sign
+SWAP_FIRST = [[F(0), F(2), F(1, 3)], [F(3, 2), F(1), F(0)],
+              [F(1), F(0), F(4, 5)]]
+
+
+@pytest.mark.parametrize("a", [_oracle_matrix(seed) for seed in range(48)]
+                         + [SWAP_FIRST])
+def test_elimination_matches_sympy(a):
+    sympy = pytest.importorskip("sympy")
+    oracle = _sympy_matrix(sympy, a)
+    n = len(a)
+    b = [F(3 * i - 7, i + 2) for i in range(n)]
+    d = oracle.det()
+    assert det(a) == F(int(d.p), int(d.q))
+    if d != 0:
+        assert inverse(a) == _from_sympy(oracle.inv())
+        x = oracle.LUsolve(_sympy_matrix(sympy, [[v] for v in b]))
+        assert solve(a, b) == [row[0] for row in _from_sympy(x)]
+        return
+    step = next(k for k in range(n) if oracle[:, :k + 1].rank() <= k)
+    for call in (lambda: inverse(a), lambda: solve(a, b)):
+        with pytest.raises(SingularMatrixError) as exc:
+            call()
+        assert exc.value.step == step
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+@pytest.mark.parametrize("n", range(1, 9))
+def test_collocation_inverse_matches_sympy(family, n):
+    sympy = pytest.importorskip("sympy")
+    a = collocation_matrix(BasisSpec(family, n), standard_nodes(n))
+    assert inverse(a) == _from_sympy(_sympy_matrix(sympy, a).inv())
