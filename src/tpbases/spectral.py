@@ -16,17 +16,23 @@ A polynomial p and its squarefree part q = p / gcd(p, p') have the same
 roots, and gcd(p, p') is the last element of p's chain; q is kept
 primitive over Z.
 
-``min_eigenvalue`` counts the distinct real roots of q on (-B, B] once,
-B the Cauchy bound: the spectrum is all real exactly when that count is
-deg q.  It then follows the bisection tree of ``isolate_real_roots``
-along the leftmost root only, and refines that one enclosure by
-bisection.  ``min_singular_value`` does the same on A^T A and separates
-the result from zero; ``spectral_report`` is those two calls, and
-``refine_report`` tightens a report in place (bisection is
-path-independent).  Every reported value is a rational interval
-guaranteed to contain the true eigenvalue.  A floating-point cross-check
-(``float_crosscheck``) exists purely as an independent sanity oracle and
-never feeds the certified path.
+``min_eigenvalue`` reads the number of distinct real roots of q off the
+leading coefficients of its chain (B, the Cauchy bound, is a strict root
+bound, so V(-B) - V(B) = V(-inf) - V(+inf)): the spectrum is all real
+exactly when that count is deg q.  The answer is the cell that bisecting
+(-B, B) along the smallest root ends on.  Bisection is path-independent,
+so Newton finds that cell: from 0 it climbs towards the smallest root on
+the cell grid and never passes it, and one chain evaluation plus a
+rational-root test of the midpoints on the way certify the cell.  When a
+certificate fails (a root <= 0, a midpoint that is a root, two roots in
+one cell) the bisection descent runs instead.  ``refine_root`` finds the
+cell bisection would end on by safeguarded Newton on the grid index.
+``min_singular_value`` forms A^T A over Z, does the same on it and
+separates the result from zero; ``spectral_report`` is those two calls,
+and ``refine_report`` tightens a report in place.  Every reported value
+is a rational interval guaranteed to contain the true eigenvalue.  A
+floating-point cross-check (``float_crosscheck``) exists purely as an
+independent sanity oracle and never feeds the certified path.
 """
 
 from __future__ import annotations
@@ -37,7 +43,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, SpectralAssumptionError
-from .linalg import Matrix, mat_mul, transpose
+from .linalg import Matrix
 
 CHAR_POLY_MAX_DIM = 24
 FLOAT_CHECK_MAX_DIM = 64
@@ -107,6 +113,10 @@ def _exact_quotient(num: list[int], den: list[int]) -> list[int]:
     return q
 
 
+def _sign(v: int) -> int:
+    return (v > 0) - (v < 0)
+
+
 def _sign_at(p: Poly, x: Fraction) -> int:
     """Sign of p(x), from the homogeneous Horner sum of p at x = a/b."""
     a, b = x.numerator, x.denominator
@@ -114,7 +124,26 @@ def _sign_at(p: Poly, x: Fraction) -> int:
     for c in reversed(p):
         acc = acc * a + c * b_pow
         b_pow *= b
-    return (acc > 0) - (acc < 0)
+    return _sign(acc)
+
+
+def _newton_at(p: list[int], x: Fraction, h: Fraction) -> tuple[int, int | None]:
+    """Sign of p(x) and the Newton step -p(x)/p'(x) from x, rounded down to
+    whole grid steps h (None where p'(x) = 0).
+
+    One homogeneous Horner pass at x = a/b gives P = b^d p(x) and
+    D = b^(d-1) p'(x), so the step is floor(-P h_den / (D b h_num)).
+    """
+    a, b = x.numerator, x.denominator
+    acc = der = 0
+    b_pow = 1
+    for c in reversed(p):
+        der = der * a + acc
+        acc = acc * a + c * b_pow
+        b_pow *= b
+    if der == 0:
+        return _sign(acc), None
+    return _sign(acc), (-acc * h.denominator) // (der * b * h.numerator)
 
 
 # --- Sturm machinery ---
@@ -136,9 +165,13 @@ def sturm_chain(p: Poly) -> list[list[int]]:
     return chain[:-1]
 
 
-def _sign_variations(chain: list[list[int]], x: Fraction) -> int:
-    signs = [s for s in (_sign_at(q, x) for q in chain) if s]
+def _variations(signs) -> int:
+    signs = [s for s in signs if s]
     return sum(1 for s1, s2 in zip(signs, signs[1:]) if s1 != s2)
+
+
+def _sign_variations(chain: list[list[int]], x: Fraction) -> int:
+    return _variations(_sign_at(q, x) for q in chain)
 
 
 def count_roots(chain: list[list[int]], a: Fraction, b: Fraction) -> int:
@@ -238,15 +271,8 @@ def isolate_real_roots(p: Poly) -> list[RootEnclosure]:
     return sorted(out, key=lambda e: e.low)
 
 
-def refine_root(enc: RootEnclosure, tol: Fraction) -> RootEnclosure:
-    """Bisect down to width <= tol, preserving the one-root invariant."""
-    tol = Fraction(tol)
-    if tol <= 0:
-        raise DomainError(f"tolerance must be positive, got {tol}")
-    if enc.polynomial is None:
-        raise DomainError("cannot refine an enclosure without its polynomial")
-    if enc.width <= tol:
-        return enc
+def _bisect(enc: RootEnclosure, tol: Fraction) -> RootEnclosure:
+    """Bisect ``enc`` down to width <= tol, preserving the one-root invariant."""
     q = enc.polynomial
     low, high = enc.low, enc.high
     sign_low = _sign_at(q, low)
@@ -265,6 +291,75 @@ def refine_root(enc: RootEnclosure, tol: Fraction) -> RootEnclosure:
         else:
             high = mid
     return RootEnclosure(low, high, enc.polynomial)
+
+
+def _levels(width: Fraction, tol: Fraction) -> int:
+    """Smallest m >= 0 with width / 2^m <= tol."""
+    ratio = width / tol
+    return (-(-ratio.numerator // ratio.denominator) - 1).bit_length()
+
+
+def _grid_cell(q: list[int], low: Fraction, h: Fraction, cells: int) -> int | None:
+    """Index j of the cell [low + j h, low + (j+1) h] across which q changes
+    sign, for a one-root enclosure [low, low + cells h]; None when q
+    vanishes at a grid point tried on the way.
+
+    Safeguarded Newton on the grid index: the bracket [jlo, jhi] keeps
+    q's sign at low on the left and the other sign on the right.  A Newton
+    candidate outside the bracket, or one that does not halve the move
+    before last, gives way to the bracket's midpoint; a candidate that
+    stalls on jlo steps to jlo + 1.
+    """
+    jlo, jhi = 0, cells
+    j, sign_low = 0, None
+    move = older = cells  # the last two moves, in grid steps
+    while True:
+        sign, step = _newton_at(q, low + j * h, h)
+        if sign == 0:
+            return None
+        if sign_low is None:
+            sign_low = sign
+        if sign == sign_low:
+            jlo = j
+        else:
+            jhi = j
+        if jhi - jlo == 1:
+            return jlo
+        nxt = jhi if step is None else j + step
+        if nxt == jlo:
+            nxt += 1
+        if not jlo < nxt < jhi or 2 * abs(nxt - j) > older:
+            nxt = (jlo + jhi) // 2
+        older, move = move, abs(nxt - j)
+        j = nxt
+
+
+def refine_root(enc: RootEnclosure, tol: Fraction) -> RootEnclosure:
+    """The enclosure bisection of ``enc`` down to width <= tol ends on.
+
+    Bisection halves ``enc`` m times, m the smallest level with
+    width / 2^m <= tol, and ends on the cell [low + j h, low + (j+1) h],
+    h = width / 2^m, that holds the root, unless a midpoint on the way is
+    the root.  A cell whose ends have opposite, nonzero signs holds the
+    root strictly inside, so no midpoint was the root and the cell is
+    bisection's answer; safeguarded Newton on the index j finds it with a
+    few sign tests.  When q vanishes at a grid point, the root is a
+    midpoint on the way, and the bisection itself runs.
+    """
+    tol = Fraction(tol)
+    if tol <= 0:
+        raise DomainError(f"tolerance must be positive, got {tol}")
+    if enc.polynomial is None:
+        raise DomainError("cannot refine an enclosure without its polynomial")
+    if enc.width <= tol:
+        return enc
+    m = _levels(enc.width, tol)
+    h = enc.width / 2**m
+    j = _grid_cell(enc.polynomial, enc.low, h, 2**m)
+    if j is None:
+        return _bisect(enc, tol)
+    low = enc.low + j * h
+    return RootEnclosure(low, low + h, enc.polynomial)
 
 
 # --- matrix spectra ---
@@ -320,24 +415,28 @@ def refine_report(rep: SpectralReport, tol: Fraction) -> SpectralReport:
                           rep.all_eigs_real_positive)
 
 
-def _smallest_eigenvalue(a: Matrix) -> RootEnclosure:
-    """Enclosure of the smallest eigenvalue; errors unless the spectrum is real.
-
-    The characteristic polynomial and its squarefree part q have the same
-    roots, so every eigenvalue is real exactly when q has deg q distinct
-    real roots in (-B, B].  The bisection then descends along the leftmost
-    root only; the first interval holding exactly one root is the
-    enclosure ``isolate_real_roots`` finds for it.
-    """
-    q, chain = _squarefree_chain(char_poly(a))
-    low = -cauchy_bound(q)
-    high = -low
-    v_low, v_high = _sign_variations(chain, low), _sign_variations(chain, high)
+def _require_real(q: list[int], v_low: int, v_high: int) -> None:
+    """Raise unless q has deg q distinct real roots, V(low) - V(high) of
+    them lying in (low, high]."""
     if v_low == v_high or v_low - v_high != len(q) - 1:
         raise SpectralAssumptionError(
             "not every eigenvalue is real; matrix is outside the totally "
             "positive regime this module assumes"
         )
+
+
+def _descend(q: list[int], chain: list[list[int]]) -> RootEnclosure:
+    """Enclosure of the smallest root of q; errors unless every root is real.
+
+    q has deg q distinct real roots exactly when they all lie in (-B, B].
+    The bisection then descends along the leftmost root only; the first
+    interval holding exactly one root is the enclosure
+    ``isolate_real_roots`` finds for it.
+    """
+    low = -cauchy_bound(q)
+    high = -low
+    v_low, v_high = _sign_variations(chain, low), _sign_variations(chain, high)
+    _require_real(q, v_low, v_high)
     while v_low - v_high > 1:
         mid = (low + high) / 2
         if _sign_at(q, mid) == 0:
@@ -355,6 +454,64 @@ def _smallest_eigenvalue(a: Matrix) -> RootEnclosure:
     return RootEnclosure(low, high, tuple(q))
 
 
+def _smallest_eigenvalue(a: Matrix) -> RootEnclosure:
+    """Enclosure of the smallest eigenvalue by the bisection descent; the
+    characteristic polynomial and its squarefree part have the same roots."""
+    return _descend(*_squarefree_chain(char_poly(a)))
+
+
+def _newton_smallest(
+    q: list[int], chain: list[list[int]], v_left: int, tol: Fraction
+) -> RootEnclosure | None:
+    """The enclosure ``refine_root(_descend(q, chain), tol)`` returns, for a
+    real-rooted q with V(-inf) = v_left, found by Newton and certified;
+    None when a certificate fails.
+
+    Both bisect (-B, B), so they end on the level-L cell holding the
+    smallest root, L the smallest level with 2B / 2^L <= tol, as long as
+    no midpoint on the way is a root and no other root shares the cell.
+    When every root is positive, Newton from 0 climbs towards the smallest
+    root and never passes it; each step is rounded down to the grid, and a
+    step shorter than one cell becomes one cell.
+    """
+    if q[0] == 0 or _variations(_sign(p[0]) for p in chain) != v_left:
+        return None  # a root <= 0
+    bound = cauchy_bound(q)
+    levels = _levels(2 * bound, tol)
+    if levels == 0:
+        return None
+    zero = 2 ** (levels - 1)  # grid point i is B (i - zero) / zero
+    h = bound / zero
+    sign_left = _sign(q[0])
+    j = zero
+    for _ in range(levels):  # bisection would take as many steps
+        sign, step = _newton_at(q, -bound + j * h, h)
+        if sign != sign_left:
+            break
+        if step is None or step < 0:
+            return None  # past two roots in one cell
+        prev, j = j, j + max(step, 1)
+    else:
+        return None
+    if sign == 0 or j != prev + 1:
+        return None  # an exact hit, or a cell wider than one step
+    low, high = -bound + prev * h, -bound + j * h
+    if _sign_variations(chain, high) != v_left - 1:
+        return None  # another root <= high
+    # the midpoints on the way; by the rational root theorem a root a/b in
+    # lowest terms has b | lc(q) and a | q(0)
+    den = bound.denominator * zero
+    for shift in range(levels, 0, -1):
+        i = ((prev >> shift) * 2 + 1) << (shift - 1)
+        num = bound.numerator * (i - zero)
+        g = math.gcd(num, den)
+        a, b = num // g, den // g
+        if (q[-1] % b == 0 and (not a or q[0] % a == 0)
+                and _sign_at(q, Fraction(a, b)) == 0):
+            return None
+    return RootEnclosure(low, high, tuple(q))
+
+
 def _separated_from_zero(enc: RootEnclosure) -> RootEnclosure | None:
     """``enc`` refined until its low end is positive, or None when its root
     is not positive."""
@@ -366,15 +523,34 @@ def _separated_from_zero(enc: RootEnclosure) -> RootEnclosure | None:
 
 
 def min_eigenvalue(a: Matrix, tol: Fraction = DEFAULT_TOL) -> RootEnclosure:
-    """Enclosure of the smallest (real) eigenvalue, refined to width <= tol."""
-    return refine_root(_smallest_eigenvalue(a), tol)
+    """Enclosure of the smallest (real) eigenvalue, refined to width <= tol.
+
+    The Cauchy bound B is a strict root bound, so V(-B) - V(B) is read off
+    the chain's leading coefficients.  The Newton path needs one chain
+    evaluation; the bisection descent is the fallback.
+    """
+    q, chain = _squarefree_chain(char_poly(a))
+    v_left = _variations(_sign(p[-1]) * (-1) ** (len(p) - 1) for p in chain)
+    _require_real(q, v_left, _variations(_sign(p[-1]) for p in chain))
+    tol = Fraction(tol)
+    enc = _newton_smallest(q, chain, v_left, tol) if tol > 0 else None
+    return refine_root(_descend(q, chain), tol) if enc is None else enc
+
+
+def _gram(a: Matrix) -> Matrix:
+    """A^T A, formed over Z: N = d A, d the lcm of the entry denominators,
+    and A^T A = N^T N / d^2."""
+    d = math.lcm(*(x.denominator for row in a for x in row))
+    cols = [[x.numerator * (d // x.denominator) for x in col] for col in zip(*a)]
+    d2 = d * d
+    return [[Fraction(sum(map(operator.mul, ci, cj)), d2) for cj in cols]
+            for ci in cols]
 
 
 def min_singular_value(a: Matrix, tol: Fraction = DEFAULT_TOL) -> RootEnclosure:
     """Enclosure of the smallest eigenvalue of A^T A (i.e. sigma_min^2),
     refined to width <= tol and separated from zero."""
-    smallest = _separated_from_zero(
-        min_eigenvalue(mat_mul(transpose(a), a), tol))
+    smallest = _separated_from_zero(min_eigenvalue(_gram(a), tol))
     if smallest is None:
         raise SpectralAssumptionError(
             "smallest singular value cannot be separated from zero; "

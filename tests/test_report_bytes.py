@@ -22,6 +22,8 @@ PINNED = [
      "14a2e1b7b7408c4101728cf28972a60d15536737bc9bc609e153f34d526c12ee"),
     ("tables --which 1,2 --degrees 6,7,8,9,10,11 --format json",
      "8199a368fc23545b36582198c3f6eb405acaeda00a66fc04d38f5aea0dd5b73b"),
+    ("tables --which 1,2 --degrees 12,13 --format json",
+     "41e582b8e350cef50b2b94b59c952411b66ffff0e2a4baea31eebd96a90482e5"),
 ]
 
 

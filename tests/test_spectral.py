@@ -14,9 +14,13 @@ from tpbases.linalg import (
     transpose,
 )
 from tpbases.render import render_enclosure
+from tpbases import spectral
 from tpbases.spectral import (
     CHAR_POLY_MAX_DIM,
+    DEFAULT_TOL,
     RootEnclosure,
+    _bisect,
+    _gram,
     _smallest_eigenvalue,
     char_poly,
     count_roots,
@@ -483,3 +487,128 @@ def test_published_bernstein_values():
     lifted = kron_min_spectral(rep, rep)
     assert render_enclosure(lifted.lambda_min, 3) == "2.30e-03"
     assert render_enclosure(lifted.sigma_min_sq, 3, sqrt=True) == "2.19e-03"
+
+
+# --- Newton paths against the bisection reference ---
+
+def _bisection_min_eigenvalue(a, tol=TOL30):
+    # the descent followed by bisection: what min_eigenvalue returned
+    # before it climbed by Newton
+    return _bisect(_smallest_eigenvalue(a), tol)
+
+
+def _count_descents(monkeypatch):
+    calls = []
+    descend = spectral._descend
+
+    def counted(q, chain):
+        calls.append(len(q) - 1)
+        return descend(q, chain)
+
+    monkeypatch.setattr(spectral, "_descend", counted)
+    return calls
+
+
+def _integer_poly_with_roots(roots, square):
+    # prod (b x - a) over the roots a/b, times x^2 - square when given
+    p = [1]
+    factors = [[-r.numerator, r.denominator] for r in roots]
+    if square is not None:
+        factors.append([-square, 0, 1])
+    for f in factors:
+        out = [0] * (len(p) + len(f) - 1)
+        for i, c in enumerate(p):
+            for j, d in enumerate(f):
+                out[i + j] += c * d
+        p = out
+    return p
+
+
+def test_newton_refine_equals_bisection(monkeypatch):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    refined, fallbacks = [], []
+    bisect = spectral._bisect
+
+    def counted(enc, tol):
+        fallbacks.append(enc)
+        return bisect(enc, tol)
+
+    monkeypatch.setattr(spectral, "_bisect", counted)
+    roots = st.lists(st.builds(F, st.integers(-60, 60),
+                               st.sampled_from([1, 2, 3, 4, 5, 7, 8, 16, 64])),
+                     min_size=1, max_size=6, unique=True)
+    tols = st.builds(F, st.integers(1, 1000),
+                     st.sampled_from([1, 2, 3, 7, 64, 10**6, 2**40, 10**30]))
+
+    @hypothesis.settings(derandomize=True, database=None, max_examples=200,
+                         deadline=None)
+    @hypothesis.given(roots, st.sampled_from([None, 2, 3, 5, 7]), tols)
+    @hypothesis.example([F(1, 2)], None, F(1, 8))  # Newton lands on 1/2
+    @hypothesis.example([F(0), F(1, 10**31)], None, TOL30)  # < tol apart
+    def check(roots, square, tol):
+        for enc in isolate_real_roots(_integer_poly_with_roots(roots, square)):
+            refined.append(enc)
+            assert refine_root(enc, tol) == bisect(enc, tol)
+
+    check()
+    # some roots were grid points, and only those took the bisection
+    assert 0 < len(fallbacks) < len(refined) / 10
+
+
+def test_min_eigenvalue_equals_the_bisection_reference(monkeypatch):
+    matrices = [a for m in _plain_collocation_matrices(range(1, 16))
+                for a in (m, mat_mul(transpose(m), m))]
+    descents = _count_descents(monkeypatch)
+    found = [min_eigenvalue(a) for a in matrices]
+    assert descents == []  # Newton certified every enclosure
+    monkeypatch.undo()
+    assert found == [_bisection_min_eigenvalue(a) for a in matrices]
+
+
+def _diagonal(*values):
+    return [[F(v) if i == j else F(0) for j in range(len(values))]
+            for i, v in enumerate(values)]
+
+
+TINY = F(1, 10**40)
+
+
+@pytest.mark.parametrize("diagonal,tol", [
+    ((-1, 2), TOL30),             # the smallest eigenvalue is <= 0
+    ((1, 2, 3), TOL30),           # the descent's midpoint 3 is an eigenvalue
+    ((1,), TOL30),                # Newton lands on 1, a grid point
+    ((1,), F(10)),                # one cell is wider than (-B, B)
+    ((1, 1 + TINY), TOL30),       # two roots < tol apart: Newton is slow
+    ((10**6, 1, 1 + TINY), TOL30),  # two roots in one cell: no sign change
+    ((10**40, 1, 1 + TINY, 1 + 2 * TINY), TOL30),  # three roots in one cell
+])
+def test_min_eigenvalue_falls_back_to_the_descent(diagonal, tol, monkeypatch):
+    m = _diagonal(*diagonal)
+    expected = _bisection_min_eigenvalue(m, tol)
+    descents = _count_descents(monkeypatch)
+    assert min_eigenvalue(m, tol) == expected
+    assert descents == [len(set(diagonal))]
+    assert expected.low < min(diagonal) < expected.high
+
+
+def test_min_eigenvalue_checks_tolerance_after_the_spectrum():
+    with pytest.raises(SpectralAssumptionError):
+        min_eigenvalue(as_matrix([[0, -1], [1, 0]]), F(0))
+    with pytest.raises(DomainError):
+        min_eigenvalue(as_matrix([[2, 1], [1, 2]]), F(0))
+
+
+def _mixed_rational_matrix(rng, rows, cols):
+    return [[F(rng.randint(-30, 30), rng.choice([1, 2, 3, 5, 6, 7, 12, 49]))
+             for _ in range(cols)] for _ in range(rows)]
+
+
+def test_integer_gram_matrix_equals_the_fraction_product():
+    rng = random.Random(20)
+    shapes = [(n, n) for n in range(1, 9)] + [(3, 5), (5, 2), (1, 4)]
+    for rows, cols in shapes * 3:
+        a = _mixed_rational_matrix(rng, rows, cols)
+        assert _gram(a) == mat_mul(transpose(a), a)
+    for m in _plain_collocation_matrices(range(1, 12)):
+        assert _gram(m) == mat_mul(transpose(m), m)
