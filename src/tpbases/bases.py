@@ -219,6 +219,15 @@ def _raw_count(block: list[int], span: int, m: int) -> int:
     return [i for i, v in enumerate(block) if v < span][m - 1] + 1
 
 
+def check_search_bounds(lo: int, hi: int, max_iter: int) -> None:
+    """Raise unless 1 <= lo <= hi and max_iter >= 1, the weight search's
+    range and budget."""
+    if not 1 <= lo <= hi:
+        raise DomainError(f"need 1 <= lo <= hi, got lo={lo}, hi={hi}")
+    if max_iter < 1:
+        raise DomainError(f"max_iter must be >= 1, got {max_iter}")
+
+
 def search_positive_weights(
     n: int,
     lo: int,
@@ -243,10 +252,7 @@ def search_positive_weights(
     """
     if n < 1:
         raise DomainError(f"degree must be >= 1, got {n}")
-    if not 1 <= lo <= hi:
-        raise DomainError(f"need 1 <= lo <= hi, got lo={lo}, hi={hi}")
-    if max_iter < 1:
-        raise DomainError(f"max_iter must be >= 1, got {max_iter}")
+    check_search_bounds(lo, hi, max_iter)
     if rng is None:
         if seed is None:
             raise DomainError("either seed or rng must be given")

@@ -11,7 +11,7 @@ import os
 import sys
 from fractions import Fraction
 
-from .bases import BasisFamily, BasisSpec, eval_basis_row
+from .bases import BasisFamily, BasisSpec, check_search_bounds, eval_basis_row
 from .errors import DomainError, SearchExhaustedError
 from .experiments import (
     DEFAULT_SEED,
@@ -116,6 +116,8 @@ def _cmd_tables(args) -> int:
     if not which or not which.issubset({1, 2, 3, 4}):
         raise DomainError(f"--which must be a subset of 1,2,3,4, got {args.which!r}")
     config = _make_config(args)
+    if which & {3, 4}:  # fail before tables 1 and 2 are computed
+        check_search_bounds(config.weight_lo, config.weight_hi, config.max_iter)
     rows = []
     weights = None
     dp_variant = "unity-corrected"

@@ -90,12 +90,6 @@ class ExperimentConfig:
             raise ValueError("degrees must be a nonempty list of integers >= 1")
         if self.weight_lo > self.weight_hi:
             raise ValueError("weight_lo must not exceed weight_hi")
-        # the weight search's own guards, checked before any table work
-        if self.weight_lo < 1:
-            raise ValueError(f"need 1 <= lo <= hi, got lo={self.weight_lo}, "
-                             f"hi={self.weight_hi}")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
 
 
 @dataclass(frozen=True)

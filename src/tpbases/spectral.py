@@ -25,14 +25,14 @@ so Newton finds that cell: from 0 it climbs towards the smallest root on
 the cell grid and never passes it, and one chain evaluation plus a
 rational-root test of the midpoints on the way certify the cell.  When a
 certificate fails (a root <= 0, a midpoint that is a root, two roots in
-one cell) the bisection descent runs instead.  ``refine_root`` finds the
-cell bisection would end on by safeguarded Newton on the grid index.
-``min_singular_value`` forms A^T A over Z, does the same on it and
-separates the result from zero; ``spectral_report`` is those two calls,
-and ``refine_report`` tightens a report in place.  Every reported value
-is a rational interval guaranteed to contain the true eigenvalue.  A
-floating-point cross-check (``float_crosscheck``) exists purely as an
-independent sanity oracle and never feeds the certified path.
+one cell, a climb that stalls) the bisection descent runs instead, and
+``refine_root`` bisects its enclosure.  ``min_singular_value`` forms
+A^T A over Z, does the same on it and separates the result from zero;
+``spectral_report`` is those two calls, and ``refine_report`` tightens a
+report in place.  Every reported value is a rational interval guaranteed
+to contain the true eigenvalue.  A floating-point cross-check
+(``float_crosscheck``) exists purely as an independent sanity oracle and
+never feeds the certified path.
 """
 
 from __future__ import annotations
@@ -271,8 +271,21 @@ def isolate_real_roots(p: Poly) -> list[RootEnclosure]:
     return sorted(out, key=lambda e: e.low)
 
 
-def _bisect(enc: RootEnclosure, tol: Fraction) -> RootEnclosure:
-    """Bisect ``enc`` down to width <= tol, preserving the one-root invariant."""
+def _levels(width: Fraction, tol: Fraction) -> int:
+    """Smallest m >= 0 with width / 2^m <= tol."""
+    ratio = width / tol
+    return (-(-ratio.numerator // ratio.denominator) - 1).bit_length()
+
+
+def refine_root(enc: RootEnclosure, tol: Fraction) -> RootEnclosure:
+    """Bisect down to width <= tol, preserving the one-root invariant."""
+    tol = Fraction(tol)
+    if tol <= 0:
+        raise DomainError(f"tolerance must be positive, got {tol}")
+    if enc.polynomial is None:
+        raise DomainError("cannot refine an enclosure without its polynomial")
+    if enc.width <= tol:
+        return enc
     q = enc.polynomial
     low, high = enc.low, enc.high
     sign_low = _sign_at(q, low)
@@ -293,76 +306,13 @@ def _bisect(enc: RootEnclosure, tol: Fraction) -> RootEnclosure:
     return RootEnclosure(low, high, enc.polynomial)
 
 
-def _levels(width: Fraction, tol: Fraction) -> int:
-    """Smallest m >= 0 with width / 2^m <= tol."""
-    ratio = width / tol
-    return (-(-ratio.numerator // ratio.denominator) - 1).bit_length()
-
-
-def _grid_cell(q: list[int], low: Fraction, h: Fraction, cells: int) -> int | None:
-    """Index j of the cell [low + j h, low + (j+1) h] across which q changes
-    sign, for a one-root enclosure [low, low + cells h]; None when q
-    vanishes at a grid point tried on the way.
-
-    Safeguarded Newton on the grid index: the bracket [jlo, jhi] keeps
-    q's sign at low on the left and the other sign on the right.  A Newton
-    candidate outside the bracket, or one that does not halve the move
-    before last, gives way to the bracket's midpoint; a candidate that
-    stalls on jlo steps to jlo + 1.
-    """
-    jlo, jhi = 0, cells
-    j, sign_low = 0, None
-    move = older = cells  # the last two moves, in grid steps
-    while True:
-        sign, step = _newton_at(q, low + j * h, h)
-        if sign == 0:
-            return None
-        if sign_low is None:
-            sign_low = sign
-        if sign == sign_low:
-            jlo = j
-        else:
-            jhi = j
-        if jhi - jlo == 1:
-            return jlo
-        nxt = jhi if step is None else j + step
-        if nxt == jlo:
-            nxt += 1
-        if not jlo < nxt < jhi or 2 * abs(nxt - j) > older:
-            nxt = (jlo + jhi) // 2
-        older, move = move, abs(nxt - j)
-        j = nxt
-
-
-def refine_root(enc: RootEnclosure, tol: Fraction) -> RootEnclosure:
-    """The enclosure bisection of ``enc`` down to width <= tol ends on.
-
-    Bisection halves ``enc`` m times, m the smallest level with
-    width / 2^m <= tol, and ends on the cell [low + j h, low + (j+1) h],
-    h = width / 2^m, that holds the root, unless a midpoint on the way is
-    the root.  A cell whose ends have opposite, nonzero signs holds the
-    root strictly inside, so no midpoint was the root and the cell is
-    bisection's answer; safeguarded Newton on the index j finds it with a
-    few sign tests.  When q vanishes at a grid point, the root is a
-    midpoint on the way, and the bisection itself runs.
-    """
-    tol = Fraction(tol)
-    if tol <= 0:
-        raise DomainError(f"tolerance must be positive, got {tol}")
-    if enc.polynomial is None:
-        raise DomainError("cannot refine an enclosure without its polynomial")
-    if enc.width <= tol:
-        return enc
-    m = _levels(enc.width, tol)
-    h = enc.width / 2**m
-    j = _grid_cell(enc.polynomial, enc.low, h, 2**m)
-    if j is None:
-        return _bisect(enc, tol)
-    low = enc.low + j * h
-    return RootEnclosure(low, low + h, enc.polynomial)
-
-
 # --- matrix spectra ---
+
+
+def _cleared(a: Matrix) -> tuple[int, list[list[int]]]:
+    """d, the lcm of the entry denominators of A, and the integer matrix d A."""
+    d = math.lcm(*(x.denominator for row in a for x in row))
+    return d, [[x.numerator * (d // x.denominator) for x in row] for row in a]
 
 
 def char_poly(a: Matrix) -> Poly:
@@ -379,8 +329,7 @@ def char_poly(a: Matrix) -> Poly:
         raise DomainError(
             f"dimension {n} exceeds the exact char-poly guard of {CHAR_POLY_MAX_DIM}"
         )
-    d = math.lcm(*(x.denominator for row in a for x in row))
-    big = [[x.numerator * (d // x.denominator) for x in row] for row in a]
+    d, big = _cleared(a)
     coeffs = [0] * (n + 1)
     coeffs[n] = 1
     m = [row[:] for row in big]
@@ -460,6 +409,9 @@ def _smallest_eigenvalue(a: Matrix) -> RootEnclosure:
     return _descend(*_squarefree_chain(char_poly(a)))
 
 
+_SLOW_STEPS = 4
+
+
 def _newton_smallest(
     q: list[int], chain: list[list[int]], v_left: int, tol: Fraction
 ) -> RootEnclosure | None:
@@ -472,7 +424,10 @@ def _newton_smallest(
     no midpoint on the way is a root and no other root shares the cell.
     When every root is positive, Newton from 0 climbs towards the smallest
     root and never passes it; each step is rounded down to the grid, and a
-    step shorter than one cell becomes one cell.
+    step shorter than one cell becomes one cell.  Near a simple root the
+    steps shrink fast; near a cluster of k roots each is about 1 - 1/k of
+    the last, so after ``_SLOW_STEPS`` steps in a row longer than 2/5 of
+    the one before, the climb is left to the descent.
     """
     if q[0] == 0 or _variations(_sign(p[0]) for p in chain) != v_left:
         return None  # a root <= 0
@@ -483,17 +438,21 @@ def _newton_smallest(
     zero = 2 ** (levels - 1)  # grid point i is B (i - zero) / zero
     h = bound / zero
     sign_left = _sign(q[0])
-    j = zero
+    j, move, slow = zero, 0, 0
     for _ in range(levels):  # bisection would take as many steps
         sign, step = _newton_at(q, -bound + j * h, h)
         if sign != sign_left:
             break
         if step is None or step < 0:
             return None  # past two roots in one cell
-        prev, j = j, j + max(step, 1)
+        step = max(step, 1)
+        slow = slow + 1 if 5 * step > 2 * move > 0 else 0
+        if slow == _SLOW_STEPS:
+            return None  # a linear rate: a cluster of roots ahead
+        prev, move, j = j, step, j + step
     else:
         return None
-    if sign == 0 or j != prev + 1:
+    if sign == 0 or move != 1:
         return None  # an exact hit, or a cell wider than one step
     low, high = -bound + prev * h, -bound + j * h
     if _sign_variations(chain, high) != v_left - 1:
@@ -538,10 +497,9 @@ def min_eigenvalue(a: Matrix, tol: Fraction = DEFAULT_TOL) -> RootEnclosure:
 
 
 def _gram(a: Matrix) -> Matrix:
-    """A^T A, formed over Z: N = d A, d the lcm of the entry denominators,
-    and A^T A = N^T N / d^2."""
-    d = math.lcm(*(x.denominator for row in a for x in row))
-    cols = [[x.numerator * (d // x.denominator) for x in col] for col in zip(*a)]
+    """A^T A, formed over Z: A^T A = N^T N / d^2 for N = d A."""
+    d, big = _cleared(a)
+    cols = list(zip(*big))
     d2 = d * d
     return [[Fraction(sum(map(operator.mul, ci, cj)), d2) for cj in cols]
             for ci in cols]

@@ -3,13 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from tpbases.bases import (
-    BasisFamily,
-    BasisSpec,
-    eval_basis_row,
-    search_positive_weights,
-    standard_nodes,
-)
+from tpbases.bases import BasisFamily, BasisSpec, eval_basis_row, standard_nodes
 from tpbases.experiments import (
     ExperimentConfig,
     GOLDEN_TABLE1,
@@ -219,15 +213,3 @@ def test_config_validation():
         ExperimentConfig(weight_lo=10, weight_hi=1)
     with pytest.raises(ValueError):
         render_report([], [], "xml", ExperimentConfig())
-
-
-def test_config_checks_the_search_guards_up_front():
-    with pytest.raises(ValueError, match=r"^max_iter must be >= 1, got 0$"):
-        ExperimentConfig(max_iter=0)
-    with pytest.raises(ValueError, match=r"^need 1 <= lo <= hi, got lo=0, hi=1000$"):
-        ExperimentConfig(weight_lo=0)
-    # the same texts as the search's own guards
-    with pytest.raises(ValueError, match=r"^max_iter must be >= 1, got 0$"):
-        search_positive_weights(3, 1, 1000, seed=1, max_iter=0)
-    with pytest.raises(ValueError, match=r"^need 1 <= lo <= hi, got lo=0, hi=1000$"):
-        search_positive_weights(3, 0, 1000, seed=1)

@@ -17,9 +17,7 @@ from tpbases.render import render_enclosure
 from tpbases import spectral
 from tpbases.spectral import (
     CHAR_POLY_MAX_DIM,
-    DEFAULT_TOL,
     RootEnclosure,
-    _bisect,
     _gram,
     _smallest_eigenvalue,
     char_poly,
@@ -494,7 +492,7 @@ def test_published_bernstein_values():
 def _bisection_min_eigenvalue(a, tol=TOL30):
     # the descent followed by bisection: what min_eigenvalue returned
     # before it climbed by Newton
-    return _bisect(_smallest_eigenvalue(a), tol)
+    return refine_root(_smallest_eigenvalue(a), tol)
 
 
 def _count_descents(monkeypatch):
@@ -507,53 +505,6 @@ def _count_descents(monkeypatch):
 
     monkeypatch.setattr(spectral, "_descend", counted)
     return calls
-
-
-def _integer_poly_with_roots(roots, square):
-    # prod (b x - a) over the roots a/b, times x^2 - square when given
-    p = [1]
-    factors = [[-r.numerator, r.denominator] for r in roots]
-    if square is not None:
-        factors.append([-square, 0, 1])
-    for f in factors:
-        out = [0] * (len(p) + len(f) - 1)
-        for i, c in enumerate(p):
-            for j, d in enumerate(f):
-                out[i + j] += c * d
-        p = out
-    return p
-
-
-def test_newton_refine_equals_bisection(monkeypatch):
-    hypothesis = pytest.importorskip("hypothesis")
-    st = hypothesis.strategies
-    refined, fallbacks = [], []
-    bisect = spectral._bisect
-
-    def counted(enc, tol):
-        fallbacks.append(enc)
-        return bisect(enc, tol)
-
-    monkeypatch.setattr(spectral, "_bisect", counted)
-    roots = st.lists(st.builds(F, st.integers(-60, 60),
-                               st.sampled_from([1, 2, 3, 4, 5, 7, 8, 16, 64])),
-                     min_size=1, max_size=6, unique=True)
-    tols = st.builds(F, st.integers(1, 1000),
-                     st.sampled_from([1, 2, 3, 7, 64, 10**6, 2**40, 10**30]))
-
-    @hypothesis.settings(derandomize=True, database=None, max_examples=200,
-                         deadline=None)
-    @hypothesis.given(roots, st.sampled_from([None, 2, 3, 5, 7]), tols)
-    @hypothesis.example([F(1, 2)], None, F(1, 8))  # Newton lands on 1/2
-    @hypothesis.example([F(0), F(1, 10**31)], None, TOL30)  # < tol apart
-    def check(roots, square, tol):
-        for enc in isolate_real_roots(_integer_poly_with_roots(roots, square)):
-            refined.append(enc)
-            assert refine_root(enc, tol) == bisect(enc, tol)
-
-    check()
-    # some roots were grid points, and only those took the bisection
-    assert 0 < len(fallbacks) < len(refined) / 10
 
 
 def test_min_eigenvalue_equals_the_bisection_reference(monkeypatch):
@@ -579,9 +530,10 @@ TINY = F(1, 10**40)
     ((1, 2, 3), TOL30),           # the descent's midpoint 3 is an eigenvalue
     ((1,), TOL30),                # Newton lands on 1, a grid point
     ((1,), F(10)),                # one cell is wider than (-B, B)
-    ((1, 1 + TINY), TOL30),       # two roots < tol apart: Newton is slow
+    ((1, 1 + TINY), TOL30),       # two roots < tol apart: the climb stalls
     ((10**6, 1, 1 + TINY), TOL30),  # two roots in one cell: no sign change
     ((10**40, 1, 1 + TINY, 1 + 2 * TINY), TOL30),  # three roots in one cell
+    ((F(3, 2), F(3, 2) + TINY, F(3, 2) + 2 * TINY), F(1)),  # the same, reached fast
 ])
 def test_min_eigenvalue_falls_back_to_the_descent(diagonal, tol, monkeypatch):
     m = _diagonal(*diagonal)
@@ -590,6 +542,26 @@ def test_min_eigenvalue_falls_back_to_the_descent(diagonal, tol, monkeypatch):
     assert min_eigenvalue(m, tol) == expected
     assert descents == [len(set(diagonal))]
     assert expected.low < min(diagonal) < expected.high
+
+
+@pytest.mark.parametrize("diagonal", [(1, 1 + TINY), (1, F(1001, 1000)),
+                                      (1, F(11, 10), F(12, 10), F(13, 10))])
+def test_climb_toward_a_cluster_stops_early(diagonal, monkeypatch):
+    # Newton approaches a cluster of k roots at the linear rate 1 - 1/k
+    m = _diagonal(*diagonal)
+    expected = _bisection_min_eigenvalue(m)
+    calls = []
+    newton_at = spectral._newton_at
+
+    def counted(*args):
+        calls.append(args)
+        return newton_at(*args)
+
+    monkeypatch.setattr(spectral, "_newton_at", counted)
+    descents = _count_descents(monkeypatch)
+    assert min_eigenvalue(m) == expected
+    assert len(calls) == spectral._SLOW_STEPS + 1
+    assert descents == [len(diagonal)]
 
 
 def test_min_eigenvalue_checks_tolerance_after_the_spectrum():
