@@ -19,11 +19,9 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import compress
-from operator import sub
 
 from .errors import DomainError, SearchExhaustedError
-from .rng import SplitMix64
+from .rng import BLOCK, FLAG_BYTE, LANE_BYTES, SplitMix64
 
 DEFAULT_SEARCH_MAX_ITER = 10**6
 
@@ -193,30 +191,84 @@ def convert_bernstein_weights(n: int, w) -> WeightConversionResult:
     return WeightConversionResult(w, saidball, monomial, dp, all_positive)
 
 
-def _monomial_prechecked(vals: list[int], n: int, count: int) -> list[int]:
-    """Indices i < count, ascending, of the vectors vals[i(n+1):(i+1)(n+1)]
-    whose monomial coefficients are all positive."""
+def _accepted(block: bytes, pending: bytes) -> tuple[bytes, list[int]]:
+    """``pending`` followed by the lanes of ``block`` whose reject flag is
+    clear, and the positions of the flagged lanes, ascending."""
+    # one find per rejected output; the kept runs between them are copied
+    # whole
+    flags = block[FLAG_BYTE::LANE_BYTES]
+    view = memoryview(block)
+    runs, rejects, start = [pending], [], 0
+    i = flags.find(1)
+    while i >= 0:
+        rejects.append(i)
+        runs.append(view[start * LANE_BYTES:i * LANE_BYTES])
+        start = i + 1
+        i = flags.find(1, start)
+    runs.append(view[start * LANE_BYTES:])
+    return b"".join(runs), rejects
+
+
+def _monomial_prechecked(lanes: bytes, n: int, count: int, bits: int) -> list[int]:
+    """Indices i < count, ascending, of the vectors whose monomial
+    coefficients are all positive.
+
+    Vector i is the values of lanes i(n+1), ..., i(n+1) + n of ``lanes``,
+    16 little-endian bytes each; every value is below 2^bits, bits <= 64.
+    """
     # The monomial coefficients of sum w_j b_j^n are C(n,k) * (k-th forward
     # difference of w at 0), so positivity reduces to positive differences.
-    # The table is built column-wise: column j holds entry j of every vector.
+    # Column j (entry j of every vector) is packed into one int with a
+    # W-byte lane per vector and every lane biased by B = 2^(8W-1).  A
+    # difference of order d <= n has absolute value below 2^(bits+d-1), at
+    # most 2^(8W-3) as 8W >= bits + n + 2, so the biased lanes stay inside
+    # [0, 2^(8W)) and one big-int operation acts on each lane alone.
     k = n + 1
-    cols = [vals[j:count * k:k] for j in range(k)]
-    index = list(range(count))
-    for _ in range(n):
-        # the next order's leading difference is positive
-        keep = [a < b for a, b in zip(cols[0], cols[1])]
-        index = list(compress(index, keep))
-        if not index:
-            break
-        cols = [list(compress(c, keep)) for c in cols]
-        cols = [list(map(sub, b, a)) for a, b in zip(cols, cols[1:])]
+    width = -(-(bits + n + 2) // 8)
+    stride = LANE_BYTES * k
+    bias = int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
+    ones = int.from_bytes((1).to_bytes(width, "little") * count, "little")
+
+    def column(j: int) -> int:
+        packed = bytearray(count * width)
+        for b in range(-(-bits // 8)):
+            start = j * LANE_BYTES + b
+            packed[b::width] = lanes[start:count * stride:stride]
+        return int.from_bytes(packed, "little") | bias
+
+    # the anti-diagonal Δ^m w_(d-m), m = 0..d: each new column w_d extends
+    # it by one order, and its last entry is the leading difference Δ^d w_0
+    diagonal = [column(0)]
+    alive = bias  # a lane's sign bit: every leading difference so far > 0
+    for d in range(1, k):
+        t = column(d)
+        extended = [t]
+        for prev in diagonal:
+            t = t - prev + bias
+            extended.append(t)
+        diagonal = extended
+        alive &= t - ones  # the lane's sign bit is set iff Δ^d w_0 >= 1
+        if not alive:
+            return []
+    signs = alive.to_bytes(count * width, "little")[width - 1::width]
+    index = []
+    i = signs.find(0x80)
+    while i >= 0:
+        index.append(i)
+        i = signs.find(0x80, i + 1)
     return index
 
 
-def _raw_count(block: list[int], span: int, m: int) -> int:
-    """Number of outputs of ``block`` up to and including its m-th value
-    below span, i.e. those ``randint`` consumed to accept m values."""
-    return [i for i, v in enumerate(block) if v < span][m - 1] + 1
+def _raw_count(rejects: list[int], m: int) -> int:
+    """Number of outputs of a block up to and including its m-th kept one,
+    i.e. those ``randint`` consumed to accept m values, given the ascending
+    positions of the block's rejected outputs."""
+    r = 0  # the rejects before the m-th kept output, which sits at m - 1 + r
+    for pos in rejects:
+        if pos > m - 1 + r:
+            break
+        r += 1
+    return m + r
 
 
 def check_search_bounds(lo: int, hi: int, max_iter: int) -> None:
@@ -245,10 +297,15 @@ def search_positive_weights(
     The vectors, their order and the generator state afterwards are those
     of drawing each vector with n+1 calls of ``rng.randint(lo, hi)`` and
     stopping after the first vector that converts, or after ``max_iter``
-    vectors.  The stream is evaluated a block of outputs at a time: the
-    values ``randint`` would accept are grouped into vectors, a column-wise
-    integer pre-check drops those with a non-positive monomial coefficient,
-    and only the survivors reach the exact conversion, in stream order.
+    vectors.  The stream is evaluated a block of outputs at a time, as
+    big-int lane arithmetic: ``SplitMix64.packed_block`` returns the masked
+    outputs with ``randint``'s reject flags, the runs between rejected
+    outputs are joined into the accepted values, the vectors' columns are
+    packed into one int each, and a pre-check on the leading forward
+    differences of every vector at once drops those with a non-positive
+    monomial coefficient.  Python steps through the rejected outputs and
+    the surviving vectors only, and the survivors reach the exact
+    conversion in stream order.
     """
     if n < 1:
         raise DomainError(f"degree must be >= 1, got {n}")
@@ -261,22 +318,25 @@ def search_positive_weights(
     k = n + 1
     span = hi - lo + 1
     mask = (1 << (span - 1).bit_length()) - 1  # randint's covering range
-    pending: list[int] = []  # accepted values of a vector the block cut off
+    bits = min(mask.bit_length(), 64)
+    pending = b""  # lanes of accepted values of a vector the block cut off
     remaining = max_iter
     while True:
-        block = rng.masked_block(mask)
-        vals = pending + [v for v in block if v < span]
-        count = min(len(vals) // k, remaining)
+        vals, rejects = _accepted(rng.packed_block(mask, span), pending)
+        carried = len(pending) // LANE_BYTES
+        count = min(len(vals) // (k * LANE_BYTES), remaining)
         # cheap integer pre-check; the exact conversion is the oracle
-        for i in _monomial_prechecked(vals, n, count):
-            w = [lo + v for v in vals[i * k:(i + 1) * k]]
+        for i in _monomial_prechecked(vals, n, count, bits):
+            w = [lo + int.from_bytes(vals[j:j + LANE_BYTES], "little")
+                 for j in range(i * k * LANE_BYTES, (i + 1) * k * LANE_BYTES,
+                                LANE_BYTES)]
             result = convert_bernstein_weights(n, w)
             if result.all_positive:
-                rng.skip(_raw_count(block, span, (i + 1) * k - len(pending)))
+                rng.skip(_raw_count(rejects, (i + 1) * k - carried))
                 return result
         remaining -= count
         if not remaining:
-            rng.skip(_raw_count(block, span, count * k - len(pending)))
+            rng.skip(_raw_count(rejects, count * k - carried))
             raise SearchExhaustedError(max_iter, seed)
-        pending = vals[count * k:]
-        rng.skip(len(block))
+        pending = vals[count * k * LANE_BYTES:]
+        rng.skip(BLOCK)

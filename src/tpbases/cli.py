@@ -23,6 +23,7 @@ from .experiments import (
     verify_orderings,
 )
 from .render import fraction_str, parse_fraction
+from .spectral import check_char_poly_dim
 
 EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
@@ -111,22 +112,31 @@ def _emit(text: str, out_path: str | None) -> None:
             fh.write(text)
 
 
+def _check_spectra(config: ExperimentConfig) -> None:
+    """Raise unless every degree's collocation matrix is within the exact
+    char-poly guard, which the spectral rows and verdicts need."""
+    for n in config.degrees:
+        check_char_poly_dim(n + 1)
+
+
 def _cmd_tables(args) -> int:
     which = set(_parse_int_list(args.which))
     if not which or not which.issubset({1, 2, 3, 4}):
         raise DomainError(f"--which must be a subset of 1,2,3,4, got {args.which!r}")
     config = _make_config(args)
-    if which & {3, 4}:  # fail before tables 1 and 2 are computed
+    # fail before any table is computed
+    if which & {3, 4}:
         check_search_bounds(config.weight_lo, config.weight_hi, config.max_iter)
+    if which & {1, 3}:
+        _check_spectra(config)
     rows = []
     weights = None
     dp_variant = "unity-corrected"
     if which & {1, 2}:
-        plain_rows, dp_variant = run_table_1_2(config)
-        rows.extend(r for r in plain_rows if r.table in which)
+        rows, dp_variant = run_table_1_2(config, which=which)
     if which & {3, 4}:
-        rational_rows, weights = run_table_3_4(config)
-        rows.extend(r for r in rational_rows if r.table in which)
+        rational_rows, weights = run_table_3_4(config, which=which)
+        rows.extend(rational_rows)
     _emit(render_report(rows, [], args.format, config,
                         weights=weights, dp_variant=dp_variant), args.out)
     mismatches = check_goldens(rows)
@@ -140,6 +150,8 @@ def _cmd_tables(args) -> int:
 def _cmd_verify(args) -> int:
     parts = ("i", "ii", "iii") if args.part == "all" else (args.part,)
     config = _make_config(args)
+    if "ii" in parts:
+        _check_spectra(config)
     verdicts = verify_orderings(config, parts=parts)
     _emit(render_report([], verdicts, args.format, config), args.out)
     failures = [v for v in verdicts if v.holds is not True]

@@ -88,6 +88,9 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.degrees or any(n < 1 for n in self.degrees):
             raise ValueError("degrees must be a nonempty list of integers >= 1")
+        for i, n in enumerate(self.degrees):
+            if n in self.degrees[:i]:
+                raise ValueError(f"degree {n} is given more than once")
         if self.weight_lo > self.weight_hi:
             raise ValueError("weight_lo must not exceed weight_hi")
 
@@ -165,8 +168,10 @@ def _kappa_row(table: int, n: int, label: str, x: Matrix,
                     exact=kappa)
 
 
-def run_table_1_2(config: ExperimentConfig) -> tuple[list[TableRow], str]:
-    """Rows of the two plain-basis tables plus the DP variant that was used.
+def run_table_1_2(config: ExperimentConfig, which=(1, 2)
+                  ) -> tuple[list[TableRow], str]:
+    """Rows of the plain-basis tables in ``which`` (1, 2 or both) plus the
+    DP variant that was used.
 
     The DP columns are first computed with the partition-of-unity corrected
     middle functions; if any published condition-number value disagrees,
@@ -177,29 +182,28 @@ def run_table_1_2(config: ExperimentConfig) -> tuple[list[TableRow], str]:
     dp_variant = "unity-corrected"
     for n in config.degrees:
         for label, family in PLAIN_FAMILIES:
-            literal = False
-            if family is BasisFamily.DP:
-                x = _grid_matrix(family, n)
+            x = _grid_matrix(family, n)
+            kappa_row = None
+            golden = GOLDEN_TABLE2.get((n, label))
+            if family is BasisFamily.DP and golden is not None:
                 kappa_row = _kappa_row(2, n, label, x, config)
-                golden = GOLDEN_TABLE2.get((n, label))
-                if golden is not None and kappa_row.decimal != golden:
-                    literal = True
+                if kappa_row.decimal != golden:
                     x = _grid_matrix(family, n, dp_literal_middle=True)
                     kappa_row = _kappa_row(2, n, label, x, config)
                     if kappa_row.decimal == golden:
                         dp_variant = "literal"
-            else:
-                x = _grid_matrix(family, n)
-                kappa_row = _kappa_row(2, n, label, x, config)
-            rows.extend(_spectral_rows(1, n, label, x, config))
-            rows.append(kappa_row)
+            if 1 in which:
+                rows.extend(_spectral_rows(1, n, label, x, config))
+            if 2 in which:
+                rows.append(kappa_row or _kappa_row(2, n, label, x, config))
     return rows, dp_variant
 
 
 def run_table_3_4(
-    config: ExperimentConfig,
+    config: ExperimentConfig, which=(3, 4)
 ) -> tuple[list[TableRow], dict[int, WeightConversionResult]]:
-    """Rows of the two rational-basis tables plus the weights behind them.
+    """Rows of the rational-basis tables in ``which`` (3, 4 or both) plus
+    the weights behind them.
 
     One deterministic generator seeded from the config is consumed
     sequentially across the degrees, so the whole grid is reproducible
@@ -221,8 +225,9 @@ def run_table_3_4(
             ("B3_T", BasisFamily.MONOMIAL, conv.monomial),
         ):
             x = _grid_matrix(family, n, weights=wv)
-            rows.append(_kappa_row(4, n, label, x, config))
-            if label != "B2_T" or config.full:
+            if 4 in which:
+                rows.append(_kappa_row(4, n, label, x, config))
+            if 3 in which and (label != "B2_T" or config.full):
                 rows.extend(_spectral_rows(3, n, label, x, config))
     return rows, weights
 

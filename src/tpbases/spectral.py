@@ -315,6 +315,14 @@ def _cleared(a: Matrix) -> tuple[int, list[list[int]]]:
     return d, [[x.numerator * (d // x.denominator) for x in row] for row in a]
 
 
+def check_char_poly_dim(n: int) -> None:
+    """Raise unless an n x n matrix is within the exact char-poly guard."""
+    if n > CHAR_POLY_MAX_DIM:
+        raise DomainError(
+            f"dimension {n} exceeds the exact char-poly guard of {CHAR_POLY_MAX_DIM}"
+        )
+
+
 def char_poly(a: Matrix) -> Poly:
     """det(lambda I - A) via the Faddeev-LeVerrier recurrence, exact.
 
@@ -325,10 +333,7 @@ def char_poly(a: Matrix) -> Poly:
     n = len(a)
     if any(len(row) != n for row in a):
         raise DomainError("matrix must be square")
-    if n > CHAR_POLY_MAX_DIM:
-        raise DomainError(
-            f"dimension {n} exceeds the exact char-poly guard of {CHAR_POLY_MAX_DIM}"
-        )
+    check_char_poly_dim(n)
     d, big = _cleared(a)
     coeffs = [0] * (n + 1)
     coeffs[n] = 1
@@ -592,6 +597,7 @@ __all__ = [
     "RootEnclosure",
     "SpectralReport",
     "char_poly",
+    "check_char_poly_dim",
     "count_roots",
     "float_crosscheck",
     "isolate_real_roots",

@@ -16,7 +16,7 @@ from tpbases.bases import (
     standard_nodes,
 )
 from tpbases.errors import DomainError, SearchExhaustedError
-from tpbases.rng import BLOCK, SplitMix64
+from tpbases.rng import BLOCK, FLAG_BYTE, LANE_BYTES, SplitMix64
 
 NORMALIZED_FAMILIES = (BasisFamily.BERNSTEIN, BasisFamily.SAID_BALL, BasisFamily.DP)
 
@@ -317,24 +317,54 @@ def _block_search(n, lo, hi, max_iter, rng):
     return search_positive_weights(n, lo, hi, max_iter=max_iter, rng=rng)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+def _packed(vals):
+    return b"".join(v.to_bytes(LANE_BYTES, "little") for v in vals)
+
+
+def _value_bits(n, room):
+    """A bit bound that leaves room for the vectors of the precheck test
+    and puts bits + n + 2 at a byte boundary ("fit"), one bit past it
+    ("past"), or is 64 ("top")."""
+    if room == "top":
+        return 64
+    bits = n + 3
+    while (bits + n + 2) % 8 != (room == "past"):
+        bits += 1
+    return bits
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13])
 def test_monomial_precheck_keeps_exactly_the_positive_vectors(n):
     # the survivors, not just the search's outcome, match the per-vector
     # check, so the exact conversion runs as often as in the reference loop
+    for room in ("fit", "past", "top"):
+        _check_monomial_precheck(n, _value_bits(n, room))
+
+
+def _check_monomial_precheck(n, bits):
     k = n + 1
     rng = random.Random(n)
     vals = []
     for _ in range(60):
-        # vector from its leading differences, each of them 0..3: about
-        # (3/4)^n of the vectors pass, and the others fail at a zero
-        lead = [rng.randint(0, 3) for _ in range(k)]
+        # vector from its leading differences: positive below a failing
+        # order f (f = k passes), 0 or -1 at f, -1..3 above it; the first
+        # entry keeps every value in [0, 2^bits), close to the top
+        f = rng.randint(1, k)
+        lead = [(1 << bits) - (1 << n + 2) - rng.randint(0, 1 << n)] + [
+            rng.randint(1, 3) if m < f else
+            rng.randint(-1, 0) if m == f else rng.randint(-1, 3)
+            for m in range(1, k)]
         vals += [sum(binomial(j, m) * lead[m] for m in range(j + 1))
                  for j in range(k)]
-    vals += [rng.randint(0, 9) for _ in range(n)]  # a partial vector
-    expected = [i for i in range(60)
+    for _ in range(20):
+        # entries 0 and 2^bits - 1 give differences near the largest ones
+        vals += [rng.choice((0, (1 << bits) - 1)) for _ in range(k)]
+    vals += [rng.randrange(1 << bits) for _ in range(n)]  # a partial vector
+    assert all(0 <= v < 1 << bits for v in vals)
+    expected = [i for i in range(80)
                 if _monomial_coeffs_positive(vals[i * k:(i + 1) * k], n)]
-    assert expected
-    assert _monomial_prechecked(vals, n, 60) == expected
+    assert 0 < len(expected) < 80
+    assert _monomial_prechecked(_packed(vals), n, 80, bits) == expected
 
 
 @pytest.mark.parametrize("seed", [82, 139])
@@ -362,7 +392,8 @@ def test_search_matches_reference_loop_property():
                          deadline=None)
     @hypothesis.given(n=st.integers(1, 4), lo=st.integers(1, 6),
                       # lo == hi, spans of 2^k and of 2^k + 1
-                      span=st.sampled_from([1, 2, 3, 4, 5, 8, 9, 16, 17, 1000]),
+                      span=st.sampled_from([1, 2, 3, 4, 5, 8, 9, 16, 17, 1000,
+                                          2**64, 2**64 + 1]),
                       max_iter=st.integers(1, 3000),
                       seed=st.integers(0, 2**64 - 1))
     def check(n, lo, span, max_iter, seed):
@@ -401,11 +432,29 @@ def test_splitmix64_degenerate_range():
 @pytest.mark.parametrize("seed", [0, -1, 2**64 - 1])
 @pytest.mark.parametrize("mask", [0, 1023, 2**64 - 1, 2**130 - 1])
 def test_masked_block_equals_masked_draws(seed, mask):
-    rng = SplitMix64(seed)
-    rng.next_uint64()
-    block = rng.masked_block(mask)
-    assert rng.masked_block(mask) == block  # the state did not move
-    assert block == [rng.next_uint64() & mask for _ in range(BLOCK)]
+    # spans whose covering mask is ``mask``: a power of two (nothing is
+    # rejected) and, but for mask 0, one that rejects about half the outputs
+    for span in [mask + 1] + ([mask // 2 + 2] if mask else []):
+        rng = SplitMix64(seed)
+        rng.next_uint64()
+        ref, ints = copy.copy(rng), copy.copy(rng)
+        values, flags = [], []
+        for _ in range(2):  # the second block's lanes are the first's, carried
+            block = rng.packed_block(mask, span)
+            assert rng.packed_block(mask, span) == block  # the state did not move
+            assert len(block) == BLOCK * LANE_BYTES
+            for i in range(0, len(block), LANE_BYTES):
+                lane = block[i:i + LANE_BYTES]
+                assert not any(lane[FLAG_BYTE + 1:])
+                values.append(int.from_bytes(lane[:FLAG_BYTE], "little"))
+                flags.append(lane[FLAG_BYTE])
+            rng.skip(BLOCK)
+        draws = [ref.next_uint64() & mask for _ in range(2 * BLOCK)]
+        assert values == draws
+        assert flags == [int(v >= span) for v in draws]
+        # the unflagged values are those randint accepts, in order
+        accepted = [v for v, f in zip(values, flags) if not f]
+        assert accepted == [ints.randint(0, span - 1) for _ in accepted]
 
 
 @pytest.mark.parametrize("k", [0, 1, 7, BLOCK, 3 * BLOCK + 5])

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from tpbases.cli import main
@@ -81,14 +86,18 @@ def test_flag_beats_env(monkeypatch, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_bad_budget_fails_before_any_table_work(capsys, monkeypatch):
+def _forbid_table_work(monkeypatch):
     import tpbases.cli as cli
 
     def no_work(*args, **kwargs):
         raise AssertionError("a table runner was called")
 
-    for name in ("run_table_1_2", "run_table_3_4"):
+    for name in ("run_table_1_2", "run_table_3_4", "verify_orderings"):
         monkeypatch.setattr(cli, name, no_work)
+
+
+def test_bad_budget_fails_before_any_table_work(capsys, monkeypatch):
+    _forbid_table_work(monkeypatch)
     assert main(["tables", "--which", "1,2,3,4", "--max-iter", "0"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -102,3 +111,66 @@ def test_budget_is_unchecked_without_a_search(capsys):
     unused = capsys.readouterr().out
     assert main(["tables", "--which", "1,2", "--degrees", "3"]) == 0
     assert unused == capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["tables", "--which", "1,2", "--degrees", "18,24"],
+    ["tables", "--which", "3", "--degrees", "3,24"],
+    ["verify", "--part", "ii", "--degrees", "18,24"],
+    ["verify", "--part", "all", "--degrees", "18,24"],
+])
+def test_char_poly_guard_fails_before_any_table_work(argv, capsys, monkeypatch):
+    _forbid_table_work(monkeypatch)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: dimension 25 exceeds the exact char-poly "
+                            "guard of 24\n")
+
+
+def test_char_poly_guard_spares_the_condition_number_tables(capsys):
+    # tables 2 and 4 compute no characteristic polynomial
+    assert main(["tables", "--which", "2", "--degrees", "24",
+                 "--format", "csv"]) == 0
+    assert "2,24,M,kappa_inf," in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["tables", "--which", "3,4", "--degrees", "3,3", "--seed", "137"],
+    ["tables", "--which", "1", "--degrees", "4,3,4"],
+    ["verify", "--part", "all", "--degrees", "3,3"],
+])
+def test_repeated_degree_is_rejected(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    degree = argv[argv.index("--degrees") + 1].split(",")[0]
+    assert captured.err == f"error: degree {degree} is given more than once\n"
+
+
+def test_tables_skip_the_rows_they_do_not_print(monkeypatch, capsys):
+    import tpbases.experiments as experiments
+
+    def no_spectra(*args, **kwargs):
+        raise AssertionError("a spectral row was computed")
+
+    monkeypatch.setattr(experiments, "_spectral_rows", no_spectra)
+    assert main(["tables", "--which", "2,4", "--degrees", "3",
+                 "--seed", "9", "--format", "csv"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert {line.split(",")[0] for line in lines[1:]} == {"2", "4", "weights"}
+
+
+def test_report_imports_no_numpy():
+    # numpy adds about 13 MiB to the resident set; only the float
+    # cross-check may import it, and only when called
+    code = ("import sys\n"
+            "from tpbases.cli import main\n"
+            "code = main(['tables', '--which', '3,4', '--degrees', '3',"
+            " '--format', 'csv'])\n"
+            "print(code, 'numpy' in sys.modules)\n")
+    env = {k: v for k, v in os.environ.items() if k != "TPB_SEED"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.splitlines()[-1] == "0 False"

@@ -211,5 +211,7 @@ def test_config_validation():
         ExperimentConfig(degrees=())
     with pytest.raises(ValueError):
         ExperimentConfig(weight_lo=10, weight_hi=1)
+    with pytest.raises(ValueError, match="degree 3 is given more than once"):
+        ExperimentConfig(degrees=(3, 4, 3))
     with pytest.raises(ValueError):
         render_report([], [], "xml", ExperimentConfig())

@@ -24,6 +24,10 @@ PINNED = [
      "8199a368fc23545b36582198c3f6eb405acaeda00a66fc04d38f5aea0dd5b73b"),
     ("tables --which 1,2 --degrees 12,13 --format json",
      "41e582b8e350cef50b2b94b59c952411b66ffff0e2a4baea31eebd96a90482e5"),
+    ("tables --which 2 --degrees 3,4,5 --format json",
+     "8ed33d7d21bc13ff1b67c2dfb14528e128132c9f06ec5f9f6ab2b25d33b682ac"),
+    ("tables --which 4 --degrees 3,4,5 --seed 9 --format json",
+     "d623f7a2cc1d9361fc5ce24bc0d07e3c42c61af88db015203f2140e2ef77ed29"),
 ]
 
 
