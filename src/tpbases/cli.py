@@ -14,7 +14,10 @@ from fractions import Fraction
 from .bases import BasisFamily, BasisSpec, check_search_bounds, eval_basis_row
 from .errors import DomainError, SearchExhaustedError
 from .experiments import (
+    DEFAULT_DP_VARIANT,
     DEFAULT_SEED,
+    WEIGHT_HI,
+    WEIGHT_LO,
     ExperimentConfig,
     check_goldens,
     render_report,
@@ -126,12 +129,12 @@ def _cmd_tables(args) -> int:
     config = _make_config(args)
     # fail before any table is computed
     if which & {3, 4}:
-        check_search_bounds(config.weight_lo, config.weight_hi, config.max_iter)
+        check_search_bounds(WEIGHT_LO, WEIGHT_HI, config.max_iter)
     if which & {1, 3}:
         _check_spectra(config)
     rows = []
     weights = None
-    dp_variant = "unity-corrected"
+    dp_variant = DEFAULT_DP_VARIANT
     if which & {1, 2}:
         rows, dp_variant = run_table_1_2(config, which=which)
     if which & {3, 4}:
@@ -152,7 +155,11 @@ def _cmd_verify(args) -> int:
     config = _make_config(args)
     if "ii" in parts:
         _check_spectra(config)
-    verdicts = verify_orderings(config, parts=parts)
+    try:
+        verdicts = verify_orderings(config, parts=parts)
+    except SearchExhaustedError as exc:
+        _emit(render_report([], exc.verdicts, args.format, config), args.out)
+        raise
     _emit(render_report([], verdicts, args.format, config), args.out)
     failures = [v for v in verdicts if v.holds is not True]
     for v in failures:

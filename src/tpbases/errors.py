@@ -34,3 +34,4 @@ class SearchExhaustedError(RuntimeError):
         super().__init__(msg)
         self.max_iter = max_iter
         self.seed = seed
+        self.verdicts = []  # ordering verdicts found before the search ran out

@@ -22,7 +22,7 @@ from .bases import (
     search_positive_weights,
     standard_nodes,
 )
-from .errors import SpectralAssumptionError
+from .errors import SearchExhaustedError, SpectralAssumptionError
 from .linalg import Matrix, collocation_matrix, cond_inf, inverse
 from .render import fraction_str, render_enclosure, sci_notation
 from .rng import SplitMix64
@@ -36,13 +36,19 @@ from .spectral import (
 )
 
 DEFAULT_SEED = 137
+DEFAULT_DP_VARIANT = "unity-corrected"
+# fixed settings, listed in the JSON report's config block: the integer
+# Bernstein weight range and the first enclosure tolerance
+WEIGHT_LO, WEIGHT_HI = 1, 1000
 # a report that renders ambiguously or leaves an ordering uncertified is
 # refined in place: TOL_ROUNDS tolerances, each TOL_STEP times the last
 TOL_ROUNDS = 4
 TOL_STEP = Fraction(1, 10**10)
 
-# published values: 3 significant digits for the spectral table, 5 for the
-# condition-number table; keys are (degree, family label)
+# significant digits per table, as published: 3 for the spectral tables,
+# 5 for the condition-number tables
+SIG_DIGITS = {1: 3, 2: 5, 3: 3, 4: 5}
+# published values, keyed by (degree, family label)
 GOLDEN_TABLE1 = {
     (3, "M"): ("2.30e-03", "2.19e-03"),
     (3, "B1"): ("8.28e-04", "8.28e-04"),
@@ -69,20 +75,26 @@ GOLDEN_TABLE2 = {
 PLAIN_FAMILIES = (("M", BasisFamily.BERNSTEIN),
                   ("B1", BasisFamily.SAID_BALL),
                   ("B2", BasisFamily.DP))
+PLAIN_LABELS = tuple(lab for lab, _ in PLAIN_FAMILIES)
 RATIONAL_LABELS = ("M_T", "B1_T", "B2_T", "B3_T")
 WEIGHT_NAMES = ("bernstein", "saidball", "monomial", "dp")
+
+# md layout: table -> ((quantity, (metric, column suffix) pairs),
+#                       (basis group, family labels))
+_SPECTRAL = ("minimal eigenvalue and singular value",
+             (("lambda_min", " λmin"), ("sigma_min", " σmin")))
+_KAPPA = ("infinity condition number", (("kappa_inf", ""),))
+_PLAIN = ("Kronecker squares", PLAIN_LABELS)
+_RATIONAL = ("rational bases", RATIONAL_LABELS)
+MD_TABLES = {1: (_SPECTRAL, _PLAIN), 2: (_KAPPA, _PLAIN),
+             3: (_SPECTRAL, _RATIONAL), 4: (_KAPPA, _RATIONAL)}
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     degrees: tuple[int, ...] = (3, 4, 5)
     seed: int = DEFAULT_SEED
-    weight_lo: int = 1
-    weight_hi: int = 1000
     max_iter: int = DEFAULT_SEARCH_MAX_ITER
-    tol: Fraction = DEFAULT_TOL
-    sig_digits_table1: int = 3
-    sig_digits_table2: int = 5
     full: bool = False  # also emit B2_T spectral columns
 
     def __post_init__(self):
@@ -91,8 +103,6 @@ class ExperimentConfig:
         for i, n in enumerate(self.degrees):
             if n in self.degrees[:i]:
                 raise ValueError(f"degree {n} is given more than once")
-        if self.weight_lo > self.weight_hi:
-            raise ValueError("weight_lo must not exceed weight_hi")
 
 
 @dataclass(frozen=True)
@@ -148,10 +158,9 @@ def _kron_report_rendered(
                                   "unambiguous rounding")
 
 
-def _spectral_rows(table: int, n: int, label: str, x: Matrix,
-                   config: ExperimentConfig) -> list[TableRow]:
-    krep, lam, sig = _kron_report_rendered(x, config.tol,
-                                           config.sig_digits_table1)
+def _spectral_rows(table: int, n: int, label: str, x: Matrix
+                   ) -> list[TableRow]:
+    krep, lam, sig = _kron_report_rendered(x, DEFAULT_TOL, SIG_DIGITS[table])
     return [
         TableRow(table, n, label, "lambda_min", lam,
                  enclosure=krep.lambda_min),
@@ -160,12 +169,16 @@ def _spectral_rows(table: int, n: int, label: str, x: Matrix,
     ]
 
 
-def _kappa_row(table: int, n: int, label: str, x: Matrix,
-               config: ExperimentConfig) -> TableRow:
+def _kappa_row(table: int, n: int, label: str, x: Matrix) -> TableRow:
     kappa = cond_inf(x) ** 2  # norm and inverse both factor over (x)
     return TableRow(table, n, label, "kappa_inf",
-                    sci_notation(kappa, config.sig_digits_table2),
-                    exact=kappa)
+                    sci_notation(kappa, SIG_DIGITS[table]), exact=kappa)
+
+
+def _in_table(table: int, label: str, full: bool) -> bool:
+    """Whether ``label`` has columns in ``table``: the B2_T spectral
+    columns of table 3 only with ``full``."""
+    return full or (table, label) != (3, "B2_T")
 
 
 def run_table_1_2(config: ExperimentConfig, which=(1, 2)
@@ -179,23 +192,23 @@ def run_table_1_2(config: ExperimentConfig, which=(1, 2)
     that matches is recorded.
     """
     rows: list[TableRow] = []
-    dp_variant = "unity-corrected"
+    dp_variant = DEFAULT_DP_VARIANT
     for n in config.degrees:
         for label, family in PLAIN_FAMILIES:
             x = _grid_matrix(family, n)
             kappa_row = None
             golden = GOLDEN_TABLE2.get((n, label))
             if family is BasisFamily.DP and golden is not None:
-                kappa_row = _kappa_row(2, n, label, x, config)
+                kappa_row = _kappa_row(2, n, label, x)
                 if kappa_row.decimal != golden:
                     x = _grid_matrix(family, n, dp_literal_middle=True)
-                    kappa_row = _kappa_row(2, n, label, x, config)
+                    kappa_row = _kappa_row(2, n, label, x)
                     if kappa_row.decimal == golden:
                         dp_variant = "literal"
             if 1 in which:
-                rows.extend(_spectral_rows(1, n, label, x, config))
+                rows.extend(_spectral_rows(1, n, label, x))
             if 2 in which:
-                rows.append(kappa_row or _kappa_row(2, n, label, x, config))
+                rows.append(kappa_row or _kappa_row(2, n, label, x))
     return rows, dp_variant
 
 
@@ -213,11 +226,9 @@ def run_table_3_4(
     rows: list[TableRow] = []
     weights: dict[int, WeightConversionResult] = {}
     for n in config.degrees:
-        conv = search_positive_weights(
-            n, config.weight_lo, config.weight_hi,
-            seed=config.seed, max_iter=config.max_iter, rng=rng,
-        )
-        weights[n] = conv
+        conv = weights[n] = search_positive_weights(
+            n, WEIGHT_LO, WEIGHT_HI, seed=config.seed,
+            max_iter=config.max_iter, rng=rng)
         for label, family, wv in (
             ("M_T", BasisFamily.BERNSTEIN, conv.bernstein),
             ("B1_T", BasisFamily.SAID_BALL, conv.saidball),
@@ -226,9 +237,9 @@ def run_table_3_4(
         ):
             x = _grid_matrix(family, n, weights=wv)
             if 4 in which:
-                rows.append(_kappa_row(4, n, label, x, config))
-            if 3 in which and (label != "B2_T" or config.full):
-                rows.extend(_spectral_rows(3, n, label, x, config))
+                rows.append(_kappa_row(4, n, label, x))
+            if 3 in which and _in_table(3, label, config.full):
+                rows.extend(_spectral_rows(3, n, label, x))
     return rows, weights
 
 
@@ -287,50 +298,59 @@ def _conditioning_verdict(n: int, pair: str, variant: str,
                           witness=(kappa_m, kappa_a))
 
 
+def _pair_verdicts(n: int, variant: str, m: Matrix,
+                   pairs: list[tuple[str, Matrix]],
+                   parts: tuple[str, ...]) -> list[OrderingVerdict]:
+    """Verdicts of ``parts`` for each (pair, a) in ``pairs`` against the
+    reference collocation matrix ``m``, pair by pair."""
+    verdicts: list[OrderingVerdict] = []
+    if "ii" in parts:
+        rep_m = spectral_report(m, DEFAULT_TOL)
+    for pair, a in pairs:
+        if "i" in parts:
+            verdicts.append(_dominance_verdict(n, pair, variant, a, m))
+        if "ii" in parts:
+            rep_a = rep_m if a == m else spectral_report(a, DEFAULT_TOL)
+            verdicts.append(_spectral_verdict(n, pair, variant, rep_a, rep_m,
+                                              DEFAULT_TOL))
+        if "iii" in parts:
+            verdicts.append(_conditioning_verdict(n, pair, variant, a, m))
+    return verdicts
+
+
 def verify_orderings(
     config: ExperimentConfig, parts: tuple[str, ...] = ("i", "ii", "iii")
 ) -> list[OrderingVerdict]:
     """Check dominance (i), spectral ordering (ii) and conditioning (iii)
-    for every comparison basis against the (rational) Bernstein basis."""
+    for every comparison basis against the (rational) Bernstein basis.
+
+    A weight search that exhausts its budget raises
+    ``SearchExhaustedError`` carrying the verdicts found before it.
+    """
     verdicts: list[OrderingVerdict] = []
     rng = SplitMix64(config.seed)
     for n in config.degrees:
-        m_plain = _grid_matrix(BasisFamily.BERNSTEIN, n)
-        comparisons = [
-            ("plain", "said-ball vs bernstein", m_plain,
-             _grid_matrix(BasisFamily.SAID_BALL, n)),
-            ("plain", "dp vs bernstein", m_plain,
-             _grid_matrix(BasisFamily.DP, n)),
-        ]
-        conv = search_positive_weights(
-            n, config.weight_lo, config.weight_hi,
-            seed=config.seed, max_iter=config.max_iter, rng=rng,
-        )
-        m_rational = _grid_matrix(BasisFamily.BERNSTEIN, n,
-                                  weights=conv.bernstein)
-        for pair, family, wv in (
+        m = _grid_matrix(BasisFamily.BERNSTEIN, n)
+        verdicts += _pair_verdicts(n, "plain", m, [
+            ("said-ball vs bernstein", _grid_matrix(BasisFamily.SAID_BALL, n)),
+            ("dp vs bernstein", _grid_matrix(BasisFamily.DP, n)),
+        ], parts)
+        try:
+            conv = search_positive_weights(
+                n, WEIGHT_LO, WEIGHT_HI, seed=config.seed,
+                max_iter=config.max_iter, rng=rng)
+        except SearchExhaustedError as exc:
+            exc.verdicts = verdicts
+            raise
+        m = _grid_matrix(BasisFamily.BERNSTEIN, n, weights=conv.bernstein)
+        verdicts += _pair_verdicts(n, "rational", m, [
             ("rational said-ball vs rational bernstein",
-             BasisFamily.SAID_BALL, conv.saidball),
-            ("rational dp vs rational bernstein", BasisFamily.DP, conv.dp),
+             _grid_matrix(BasisFamily.SAID_BALL, n, weights=conv.saidball)),
+            ("rational dp vs rational bernstein",
+             _grid_matrix(BasisFamily.DP, n, weights=conv.dp)),
             ("rational monomial vs rational bernstein",
-             BasisFamily.MONOMIAL, conv.monomial),
-        ):
-            comparisons.append(
-                ("rational", pair, m_rational,
-                 _grid_matrix(family, n, weights=wv)))
-        if "ii" in parts:
-            reference = {"plain": spectral_report(m_plain, config.tol),
-                         "rational": spectral_report(m_rational, config.tol)}
-        for variant, pair, m, a in comparisons:
-            if "i" in parts:
-                verdicts.append(_dominance_verdict(n, pair, variant, a, m))
-            if "ii" in parts:
-                rep_m = reference[variant]
-                rep_a = rep_m if a == m else spectral_report(a, config.tol)
-                verdicts.append(_spectral_verdict(n, pair, variant, rep_a,
-                                                  rep_m, config.tol))
-            if "iii" in parts:
-                verdicts.append(_conditioning_verdict(n, pair, variant, a, m))
+             _grid_matrix(BasisFamily.MONOMIAL, n, weights=conv.monomial)),
+        ], parts)
     return verdicts
 
 
@@ -354,15 +374,6 @@ def check_goldens(rows: list[TableRow]) -> list[tuple[TableRow, str]]:
 # --- report rendering ---
 
 
-def _row_value(rows: list[TableRow], table: int, n: int, label: str,
-               metric: str) -> str:
-    for row in rows:
-        if (row.table, row.degree, row.family_label, row.metric) == \
-                (table, n, label, metric):
-            return row.decimal
-    return "-"
-
-
 def _md_table(header: list[str], lines: list[list[str]]) -> list[str]:
     out = ["| " + " | ".join(header) + " |",
            "|" + "|".join("---" for _ in header) + "|"]
@@ -379,41 +390,18 @@ def _render_md(rows, verdicts, config, weights, dp_variant) -> str:
     lines = [f"# Totally positive basis conditioning report",
              "", f"dp_variant: {dp_variant}", ""]
     degrees = sorted({r.degree for r in rows}) or list(config.degrees)
-    tables = sorted({r.table for r in rows})
-    if 1 in tables:
-        lines += ["## Table 1: minimal eigenvalue and singular value "
-                  "(Kronecker squares)", ""]
-        header = ["n"] + [f"{lab} {m}" for lab, _ in PLAIN_FAMILIES
-                          for m in ("λmin", "σmin")]
-        body = [[str(n)] + [_row_value(rows, 1, n, lab, met)
-                            for lab, _ in PLAIN_FAMILIES
-                            for met in ("lambda_min", "sigma_min")]
+    values = {(r.table, r.degree, r.family_label, r.metric): r.decimal
+              for r in rows}
+    for table in sorted({r.table for r in rows}):
+        (quantity, metrics), (group, all_labels) = MD_TABLES[table]
+        labels = [lab for lab in all_labels
+                  if _in_table(table, lab, config.full)]
+        lines += [f"## Table {table}: {quantity} ({group})", ""]
+        header = ["n"] + [lab + suffix for lab in labels
+                          for _, suffix in metrics]
+        body = [[str(n)] + [values.get((table, n, lab, metric), "-")
+                            for lab in labels for metric, _ in metrics]
                 for n in degrees]
-        lines += _md_table(header, body) + [""]
-    if 2 in tables:
-        lines += ["## Table 2: infinity condition number (Kronecker squares)",
-                  ""]
-        header = ["n"] + [lab for lab, _ in PLAIN_FAMILIES]
-        body = [[str(n)] + [_row_value(rows, 2, n, lab, "kappa_inf")
-                            for lab, _ in PLAIN_FAMILIES] for n in degrees]
-        lines += _md_table(header, body) + [""]
-    if 3 in tables:
-        labels = [l for l in RATIONAL_LABELS
-                  if l != "B2_T" or config.full]
-        lines += ["## Table 3: minimal eigenvalue and singular value "
-                  "(rational bases)", ""]
-        header = ["n"] + [f"{lab} {m}" for lab in labels
-                          for m in ("λmin", "σmin")]
-        body = [[str(n)] + [_row_value(rows, 3, n, lab, met)
-                            for lab in labels
-                            for met in ("lambda_min", "sigma_min")]
-                for n in degrees]
-        lines += _md_table(header, body) + [""]
-    if 4 in tables:
-        lines += ["## Table 4: infinity condition number (rational bases)", ""]
-        header = ["n"] + list(RATIONAL_LABELS)
-        body = [[str(n)] + [_row_value(rows, 4, n, lab, "kappa_inf")
-                            for lab in RATIONAL_LABELS] for n in degrees]
         lines += _md_table(header, body) + [""]
     if weights:
         lines += ["## Weights", ""]
@@ -456,12 +444,12 @@ def _render_json(rows, verdicts, config, weights, dp_variant) -> str:
         "config": {
             "degrees": list(config.degrees),
             "seed": config.seed,
-            "weight_lo": config.weight_lo,
-            "weight_hi": config.weight_hi,
+            "weight_lo": WEIGHT_LO,
+            "weight_hi": WEIGHT_HI,
             "max_iter": config.max_iter,
-            "tol": fraction_str(config.tol),
-            "sig_digits_table1": config.sig_digits_table1,
-            "sig_digits_table2": config.sig_digits_table2,
+            "tol": fraction_str(DEFAULT_TOL),
+            "sig_digits_table1": SIG_DIGITS[1],
+            "sig_digits_table2": SIG_DIGITS[2],
         },
         "dp_variant": dp_variant,
         "weights": {
@@ -496,7 +484,7 @@ def _render_json(rows, verdicts, config, weights, dp_variant) -> str:
 
 
 def render_report(rows, verdicts, fmt, config: ExperimentConfig,
-                  weights=None, dp_variant: str = "unity-corrected") -> str:
+                  weights=None, dp_variant: str = DEFAULT_DP_VARIANT) -> str:
     if fmt == "md":
         return _render_md(rows, verdicts, config, weights, dp_variant)
     if fmt == "csv":

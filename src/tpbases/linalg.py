@@ -154,19 +154,16 @@ class TotalPositivityCertificate:
     witness: tuple[tuple[int, ...], tuple[int, ...], Fraction] | None = None
 
 
-def is_totally_positive(
-    a: Matrix, max_dim: int = MINOR_CHECK_MAX_DIM
-) -> TotalPositivityCertificate:
+def is_totally_positive(a: Matrix) -> TotalPositivityCertificate:
     """Check every minor of every order for nonnegativity.
 
     Brute force over all index subsets; refuses matrices larger than
-    ``max_dim`` to bound the combinatorial cost.
+    ``MINOR_CHECK_MAX_DIM`` to bound the combinatorial cost.
     """
     rows, cols = len(a), len(a[0])
-    if rows > max_dim or cols > max_dim:
-        raise DomainError(
-            f"{rows}x{cols} exceeds the minor-check guard of {max_dim}"
-        )
+    if rows > MINOR_CHECK_MAX_DIM or cols > MINOR_CHECK_MAX_DIM:
+        raise DomainError(f"{rows}x{cols} exceeds the minor-check guard "
+                          f"of {MINOR_CHECK_MAX_DIM}")
     for k in range(1, min(rows, cols) + 1):
         for rs in combinations(range(rows), k):
             for cs in combinations(range(cols), k):

@@ -64,6 +64,23 @@ def test_search_exhaustion_exit_code(capsys):
     assert "weight vectors" in captured.err
 
 
+def test_verify_prints_the_verdicts_found_before_exhaustion(capsys,
+                                                            monkeypatch):
+    # degree 3 finds its weights; degree 6 exhausts the budget after its
+    # plain rows, which need no weights
+    monkeypatch.delenv("TPB_SEED", raising=False)
+    assert main(["verify", "--part", "i", "--degrees", "3,6",
+                 "--max-iter", "20000", "--format", "csv"]) == 3
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert lines[0] == "table,degree,family,metric,value"
+    assert [line.split(",")[1:3] for line in lines[1:]] == (
+        [["3", "plain"]] * 2 + [["3", "rational"]] * 3 + [["6", "plain"]] * 2)
+    assert all(line.endswith(",true") for line in lines[1:])
+    assert captured.err == ("error: no all-positive weight system found "
+                            "within 20000 weight vectors (seed=137)\n")
+
+
 def test_env_seed_fallback(monkeypatch, tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     monkeypatch.setenv("TPB_SEED", "9")

@@ -209,8 +209,6 @@ def test_factor_dominance_matches_kronecker_dominance():
 def test_config_validation():
     with pytest.raises(ValueError):
         ExperimentConfig(degrees=())
-    with pytest.raises(ValueError):
-        ExperimentConfig(weight_lo=10, weight_hi=1)
     with pytest.raises(ValueError, match="degree 3 is given more than once"):
         ExperimentConfig(degrees=(3, 4, 3))
     with pytest.raises(ValueError):

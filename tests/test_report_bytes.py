@@ -28,6 +28,12 @@ PINNED = [
      "8ed33d7d21bc13ff1b67c2dfb14528e128132c9f06ec5f9f6ab2b25d33b682ac"),
     ("tables --which 4 --degrees 3,4,5 --seed 9 --format json",
      "d623f7a2cc1d9361fc5ce24bc0d07e3c42c61af88db015203f2140e2ef77ed29"),
+    ("tables --which 1,2,3,4 --degrees 3,4,5 --seed 9 --full --format md",
+     "4b294e7ecb299622089b955ce5187f8bedd4e94bff60b2132d74ebec95a9f615"),
+    ("tables --which 2,3 --degrees 4,3 --seed 139 --format md",
+     "65d18e15e20f1a66b89a7dd8ac5cb132699ab0fb25b6754271024e59db7ec938"),
+    ("verify --part all --degrees 1,2,3 --seed 193 --format md",
+     "f441ff4d99e37195699adea3015dc4c4b3a600eeb5cacfe7180ae89fa332722a"),
 ]
 
 
