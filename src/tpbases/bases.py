@@ -16,7 +16,7 @@ published tables that were evidently computed with it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from fractions import Fraction
 
@@ -33,30 +33,31 @@ class BasisFamily(Enum):
     MONOMIAL = "monomial"
 
 
-@dataclass(frozen=True)
-class BasisSpec:
+class BasisSpec(namedtuple("BasisSpec",
+                             "family degree weights dp_literal_middle")):
     """A basis family of a fixed degree, optionally with positive weights.
 
     With weights w the spec denotes the rational basis
     r_i(x) = w_i u_i(x) / sum_j w_j u_j(x); without weights, the plain
-    polynomial family.
+    polynomial family.  ``weights`` is a tuple of ``degree + 1`` Fractions
+    or None.
     """
 
-    family: BasisFamily
-    degree: int
-    weights: tuple[Fraction, ...] | None = None
-    dp_literal_middle: bool = False
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.degree < 1:
-            raise DomainError(f"degree must be >= 1, got {self.degree}")
-        if self.weights is not None:
-            if len(self.weights) != self.degree + 1:
+    def __new__(cls, family: BasisFamily, degree: int,
+                weights: tuple[Fraction, ...] | None = None,
+                dp_literal_middle: bool = False):
+        if degree < 1:
+            raise DomainError(f"degree must be >= 1, got {degree}")
+        if weights is not None:
+            if len(weights) != degree + 1:
                 raise DomainError(
-                    f"need {self.degree + 1} weights, got {len(self.weights)}"
+                    f"need {degree + 1} weights, got {len(weights)}"
                 )
-            if any(w <= 0 for w in self.weights):
+            if any(w <= 0 for w in weights):
                 raise DomainError("all weights must be strictly positive")
+        return super().__new__(cls, family, degree, weights, dp_literal_middle)
 
 
 def binomial(n: int, k: int) -> int:
@@ -146,21 +147,18 @@ def standard_nodes(n: int) -> list[Fraction]:
     return [Fraction(i, n + 2) for i in range(1, n + 2)]
 
 
-@dataclass(frozen=True)
-class WeightConversionResult:
+class WeightConversionResult(namedtuple(
+        "WeightConversionResult", "bernstein saidball monomial dp all_positive")):
     """Weight vectors representing one polynomial in four bases.
 
     sum_j bernstein[j] b_j(x) = sum_j saidball[j] s_j(x)
                               = sum_j monomial[j] x^j
                               = sum_j dp[j] c_j(x)
-    hold exactly as polynomial identities.
+    hold exactly as polynomial identities; each vector is a tuple of
+    Fractions, and ``all_positive`` says whether every entry is > 0.
     """
 
-    bernstein: tuple[Fraction, ...]
-    saidball: tuple[Fraction, ...]
-    monomial: tuple[Fraction, ...]
-    dp: tuple[Fraction, ...]
-    all_positive: bool
+    __slots__ = ()
 
 
 def _solve_collocation(spec: BasisSpec, values: list[Fraction]) -> tuple[Fraction, ...]:

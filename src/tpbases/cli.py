@@ -2,6 +2,10 @@
 
 Exit codes: 0 success, 1 verification or golden-table failure, 2 bad
 input, 3 weight-search exhaustion.
+
+Each command imports what it runs: ``eval`` needs only the basis and
+rendering modules, so the experiment grid is imported inside the
+``tables`` and ``verify`` paths.
 """
 
 from __future__ import annotations
@@ -9,24 +13,10 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from fractions import Fraction
 
 from .bases import BasisFamily, BasisSpec, check_search_bounds, eval_basis_row
 from .errors import DomainError, SearchExhaustedError
-from .experiments import (
-    DEFAULT_DP_VARIANT,
-    DEFAULT_SEED,
-    WEIGHT_HI,
-    WEIGHT_LO,
-    ExperimentConfig,
-    check_goldens,
-    render_report,
-    run_table_1_2,
-    run_table_3_4,
-    verify_orderings,
-)
 from .render import fraction_str, parse_fraction
-from .spectral import check_char_poly_dim
 
 EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
@@ -36,14 +26,14 @@ EXIT_SEARCH_EXHAUSTED = 3
 _FAMILY_NAMES = {f.value: f for f in BasisFamily}
 
 
-def _default_seed() -> int:
+def _default_seed(default: int) -> int:
     env = os.environ.get("TPB_SEED")
     if env is not None:
         try:
             return int(env)
         except ValueError:
             raise DomainError(f"TPB_SEED must be an integer, got {env!r}")
-    return DEFAULT_SEED
+    return default
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
@@ -90,10 +80,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _make_config(args) -> ExperimentConfig:
+def _make_config(args):
+    from .experiments import DEFAULT_SEED, ExperimentConfig
+
     kwargs = {
         "degrees": _parse_int_list(args.degrees),
-        "seed": args.seed if args.seed is not None else _default_seed(),
+        "seed": (args.seed if args.seed is not None
+                 else _default_seed(DEFAULT_SEED)),
     }
     if getattr(args, "max_iter", None) is not None:
         kwargs["max_iter"] = args.max_iter
@@ -115,14 +108,26 @@ def _emit(text: str, out_path: str | None) -> None:
             fh.write(text)
 
 
-def _check_spectra(config: ExperimentConfig) -> None:
+def _check_spectra(config) -> None:
     """Raise unless every degree's collocation matrix is within the exact
     char-poly guard, which the spectral rows and verdicts need."""
+    from .spectral import check_char_poly_dim
+
     for n in config.degrees:
         check_char_poly_dim(n + 1)
 
 
 def _cmd_tables(args) -> int:
+    from .experiments import (
+        DEFAULT_DP_VARIANT,
+        WEIGHT_HI,
+        WEIGHT_LO,
+        check_goldens,
+        render_report,
+        run_table_1_2,
+        run_table_3_4,
+    )
+
     which = set(_parse_int_list(args.which))
     if not which or not which.issubset({1, 2, 3, 4}):
         raise DomainError(f"--which must be a subset of 1,2,3,4, got {args.which!r}")
@@ -151,6 +156,8 @@ def _cmd_tables(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .experiments import render_report, verify_orderings
+
     parts = ("i", "ii", "iii") if args.part == "all" else (args.part,)
     config = _make_config(args)
     if "ii" in parts:

@@ -10,8 +10,7 @@ comparisons for the spectral ordering.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .bases import (
@@ -23,7 +22,7 @@ from .bases import (
     standard_nodes,
 )
 from .errors import SearchExhaustedError, SpectralAssumptionError
-from .linalg import Matrix, collocation_matrix, cond_inf, inverse
+from .linalg import Matrix, collocation_matrix, cond_inf, inf_norm, inverse
 from .render import fraction_str, render_enclosure, sci_notation
 from .rng import SplitMix64
 from .spectral import (
@@ -90,40 +89,42 @@ MD_TABLES = {1: (_SPECTRAL, _PLAIN), 2: (_KAPPA, _PLAIN),
              3: (_SPECTRAL, _RATIONAL), 4: (_KAPPA, _RATIONAL)}
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    degrees: tuple[int, ...] = (3, 4, 5)
-    seed: int = DEFAULT_SEED
-    max_iter: int = DEFAULT_SEARCH_MAX_ITER
-    full: bool = False  # also emit B2_T spectral columns
+class ExperimentConfig(namedtuple("ExperimentConfig",
+                                  "degrees seed max_iter full")):
+    """The grid one command runs: its degrees, seed and weight-search
+    budget; ``full`` also emits the B2_T spectral columns."""
 
-    def __post_init__(self):
-        if not self.degrees or any(n < 1 for n in self.degrees):
+    __slots__ = ()
+
+    def __new__(cls, degrees: tuple[int, ...] = (3, 4, 5),
+                seed: int = DEFAULT_SEED,
+                max_iter: int = DEFAULT_SEARCH_MAX_ITER, full: bool = False):
+        if not degrees or any(n < 1 for n in degrees):
             raise ValueError("degrees must be a nonempty list of integers >= 1")
-        for i, n in enumerate(self.degrees):
-            if n in self.degrees[:i]:
+        for i, n in enumerate(degrees):
+            if n in degrees[:i]:
                 raise ValueError(f"degree {n} is given more than once")
+        return super().__new__(cls, degrees, seed, max_iter, full)
 
 
-@dataclass(frozen=True)
-class TableRow:
-    table: int
-    degree: int
-    family_label: str
-    metric: str  # kappa_inf | lambda_min | sigma_min
-    decimal: str
-    exact: Fraction | None = None
-    enclosure: RootEnclosure | None = None
+class TableRow(namedtuple(
+        "TableRow", "table degree family_label metric decimal exact enclosure",
+        defaults=(None, None))):
+    """One rendered table cell; ``metric`` is kappa_inf, lambda_min or
+    sigma_min, with the exact value (kappa_inf) or the enclosure behind
+    ``decimal``."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class OrderingVerdict:
-    part: str  # dominance | spectral_ordering | conditioning_ordering
-    degree: int
-    pair: str
-    variant: str  # plain | rational
-    holds: bool | None  # None = indeterminate (could not be certified)
-    witness: tuple | None = None
+class OrderingVerdict(namedtuple(
+        "OrderingVerdict", "part degree pair variant holds witness",
+        defaults=(None,))):
+    """One ordering check: ``part`` is dominance, spectral_ordering or
+    conditioning_ordering, ``variant`` plain or rational, and ``holds``
+    None when the ordering could not be certified."""
+
+    __slots__ = ()
 
 
 _HOLDS_TEXT = {True: "true", False: "false", None: "indeterminate"}
@@ -243,13 +244,16 @@ def run_table_3_4(
     return rows, weights
 
 
-def _dominance_verdict(n: int, pair: str, variant: str,
-                       a: Matrix, m: Matrix) -> OrderingVerdict:
+def _dominance_verdict(n: int, pair: str, variant: str, a: Matrix, m: Matrix,
+                       inv_a: Matrix | None = None,
+                       inv_m: Matrix | None = None) -> OrderingVerdict:
     """|(M (x) M)^-1| <= |(A (x) A)^-1| entrywise, decided on the factors:
     the Kronecker entries are products m_ij m_kl and a_ij a_kl, so factor
     dominance gives it by multiplying bounds, and the diagonal index pairs
-    (k, l) = (i, j), m_ij^2 <= a_ij^2, give the converse."""
-    inv_a, inv_m = inverse(a), inverse(m)
+    (k, l) = (i, j), m_ij^2 <= a_ij^2, give the converse.  A caller that
+    already holds the factor inverses passes them in."""
+    inv_a = inverse(a) if inv_a is None else inv_a
+    inv_m = inverse(m) if inv_m is None else inv_m
     for i, (arow, mrow) in enumerate(zip(inv_a, inv_m)):
         for j, (av, mv) in enumerate(zip(arow, mrow)):
             if abs(mv) > abs(av):
@@ -289,9 +293,12 @@ def _spectral_verdict(n: int, pair: str, variant: str, fac_a: SpectralReport,
     return OrderingVerdict("spectral_ordering", n, pair, variant, None)
 
 
-def _conditioning_verdict(n: int, pair: str, variant: str,
-                          a: Matrix, m: Matrix) -> OrderingVerdict:
-    kappa_a, kappa_m = cond_inf(a) ** 2, cond_inf(m) ** 2
+def _conditioning_verdict(n: int, pair: str, variant: str, a: Matrix,
+                          m: Matrix, inv_a: Matrix, inv_m: Matrix
+                          ) -> OrderingVerdict:
+    # kappa_inf = ||X|| ||X^-1||, squared because both factor over (x)
+    kappa_a = (inf_norm(a) * inf_norm(inv_a)) ** 2
+    kappa_m = (inf_norm(m) * inf_norm(inv_m)) ** 2
     if kappa_m <= kappa_a:
         return OrderingVerdict("conditioning_ordering", n, pair, variant, True)
     return OrderingVerdict("conditioning_ordering", n, pair, variant, False,
@@ -302,19 +309,28 @@ def _pair_verdicts(n: int, variant: str, m: Matrix,
                    pairs: list[tuple[str, Matrix]],
                    parts: tuple[str, ...]) -> list[OrderingVerdict]:
     """Verdicts of ``parts`` for each (pair, a) in ``pairs`` against the
-    reference collocation matrix ``m``, pair by pair."""
+    reference collocation matrix ``m``, pair by pair; each matrix is
+    inverted, and reported on, once."""
     verdicts: list[OrderingVerdict] = []
+    need_inverses = "i" in parts or "iii" in parts
+    if need_inverses:
+        inv_m = inverse(m)
     if "ii" in parts:
         rep_m = spectral_report(m, DEFAULT_TOL)
     for pair, a in pairs:
+        same = a == m
+        if need_inverses:
+            inv_a = inv_m if same else inverse(a)
         if "i" in parts:
-            verdicts.append(_dominance_verdict(n, pair, variant, a, m))
+            verdicts.append(_dominance_verdict(n, pair, variant, a, m,
+                                               inv_a, inv_m))
         if "ii" in parts:
-            rep_a = rep_m if a == m else spectral_report(a, DEFAULT_TOL)
+            rep_a = rep_m if same else spectral_report(a, DEFAULT_TOL)
             verdicts.append(_spectral_verdict(n, pair, variant, rep_a, rep_m,
                                               DEFAULT_TOL))
         if "iii" in parts:
-            verdicts.append(_conditioning_verdict(n, pair, variant, a, m))
+            verdicts.append(_conditioning_verdict(n, pair, variant, a, m,
+                                                  inv_a, inv_m))
     return verdicts
 
 
@@ -440,6 +456,8 @@ def _enc_json(enc: RootEnclosure | None):
 
 
 def _render_json(rows, verdicts, config, weights, dp_variant) -> str:
+    import json  # only the JSON report needs it
+
     doc = {
         "config": {
             "degrees": list(config.degrees),

@@ -8,7 +8,7 @@ operations here are exact; floating point appears nowhere in this module.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations
 
@@ -142,16 +142,15 @@ def det(a: Matrix) -> Fraction:
         return Fraction(0)
 
 
-@dataclass(frozen=True)
-class TotalPositivityCertificate:
+class TotalPositivityCertificate(namedtuple(
+        "TotalPositivityCertificate", "is_tp witness", defaults=(None,))):
     """Outcome of an exhaustive minor check.
 
     On failure, ``witness`` is (row_indices, col_indices, minor_value) for
     one negative minor.
     """
 
-    is_tp: bool
-    witness: tuple[tuple[int, ...], tuple[int, ...], Fraction] | None = None
+    __slots__ = ()
 
 
 def is_totally_positive(a: Matrix) -> TotalPositivityCertificate:

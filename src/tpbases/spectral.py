@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import DomainError, SpectralAssumptionError
@@ -187,16 +187,14 @@ def cauchy_bound(p: Poly) -> Fraction:
                    default=Fraction(0))
 
 
-@dataclass(frozen=True)
-class RootEnclosure:
-    """Open rational interval certified to contain exactly one real root
-    of ``polynomial``: the primitive integer squarefree part of the
-    polynomial whose roots were isolated (None for enclosures derived by
-    interval arithmetic, e.g. Kronecker products)."""
+class RootEnclosure(namedtuple("RootEnclosure", "low high polynomial")):
+    """Open rational interval (``low``, ``high``) certified to contain
+    exactly one real root of ``polynomial``: the primitive integer
+    squarefree part of the polynomial whose roots were isolated, as a tuple
+    (None for enclosures derived by interval arithmetic, e.g. Kronecker
+    products)."""
 
-    low: Fraction
-    high: Fraction
-    polynomial: tuple[int, ...] | None
+    __slots__ = ()
 
     @property
     def width(self) -> Fraction:
@@ -349,17 +347,16 @@ def char_poly(a: Matrix) -> Poly:
     return [Fraction(c, d ** (n - k)) for k, c in enumerate(coeffs)]
 
 
-@dataclass(frozen=True)
-class SpectralReport:
+class SpectralReport(namedtuple(
+        "SpectralReport", "lambda_min sigma_min_sq all_eigs_real_positive")):
     """Certified minimal eigenvalue and singular value of one matrix.
 
-    ``sigma_min_sq`` encloses the smallest eigenvalue of A^T A; the square
-    root is taken only when rendering, with outward rounding.
+    ``lambda_min`` and ``sigma_min_sq`` are RootEnclosures;
+    ``sigma_min_sq`` encloses the smallest eigenvalue of A^T A, and the
+    square root is taken only when rendering, with outward rounding.
     """
 
-    lambda_min: RootEnclosure
-    sigma_min_sq: RootEnclosure
-    all_eigs_real_positive: bool
+    __slots__ = ()
 
 
 def refine_report(rep: SpectralReport, tol: Fraction) -> SpectralReport:

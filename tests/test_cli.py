@@ -104,13 +104,13 @@ def test_flag_beats_env(monkeypatch, tmp_path):
 
 
 def _forbid_table_work(monkeypatch):
-    import tpbases.cli as cli
+    import tpbases.experiments as experiments
 
     def no_work(*args, **kwargs):
         raise AssertionError("a table runner was called")
 
     for name in ("run_table_1_2", "run_table_3_4", "verify_orderings"):
-        monkeypatch.setattr(cli, name, no_work)
+        monkeypatch.setattr(experiments, name, no_work)
 
 
 def test_bad_budget_fails_before_any_table_work(capsys, monkeypatch):
@@ -191,3 +191,29 @@ def test_report_imports_no_numpy():
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True).stdout
     assert out.splitlines()[-1] == "0 False"
+
+
+def _modules_after(argv):
+    """The exit code of ``main(argv)`` in a fresh interpreter and which of
+    ``tpbases.experiments``, ``json`` and ``dataclasses`` it left loaded;
+    ``-S`` keeps site hooks from preloading any of them."""
+    code = ("import sys\n"
+            "from tpbases.cli import main\n"
+            f"code = main({argv!r})\n"
+            "watched = ('tpbases.experiments', 'json', 'dataclasses')\n"
+            "print(code, sorted(m for m in watched if m in sys.modules))\n")
+    env = {k: v for k, v in os.environ.items() if k != "TPB_SEED"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    return out.splitlines()[-1]
+
+
+def test_eval_imports_only_the_basis_and_rendering_modules():
+    argv = ["eval", "--family", "said-ball", "--degree", "3", "--x", "1/5"]
+    assert _modules_after(argv) == "0 []"
+
+
+def test_csv_tables_import_no_json():
+    argv = ["tables", "--which", "1,2", "--degrees", "3", "--format", "csv"]
+    assert _modules_after(argv) == "0 ['tpbases.experiments']"
