@@ -92,10 +92,7 @@ def _make_config(args):
         kwargs["max_iter"] = args.max_iter
     if getattr(args, "full", False):
         kwargs["full"] = True
-    try:
-        return ExperimentConfig(**kwargs)
-    except ValueError as exc:
-        raise DomainError(str(exc))
+    return ExperimentConfig(**kwargs)
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -156,10 +153,17 @@ def _cmd_tables(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from .experiments import render_report, verify_orderings
+    from .experiments import (
+        WEIGHT_HI,
+        WEIGHT_LO,
+        render_report,
+        verify_orderings,
+    )
 
     parts = ("i", "ii", "iii") if args.part == "all" else (args.part,)
     config = _make_config(args)
+    # fail before any verdict is computed; every part searches weights
+    check_search_bounds(WEIGHT_LO, WEIGHT_HI, config.max_iter)
     if "ii" in parts:
         _check_spectra(config)
     try:

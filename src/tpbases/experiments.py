@@ -244,16 +244,12 @@ def run_table_3_4(
     return rows, weights
 
 
-def _dominance_verdict(n: int, pair: str, variant: str, a: Matrix, m: Matrix,
-                       inv_a: Matrix | None = None,
-                       inv_m: Matrix | None = None) -> OrderingVerdict:
-    """|(M (x) M)^-1| <= |(A (x) A)^-1| entrywise, decided on the factors:
-    the Kronecker entries are products m_ij m_kl and a_ij a_kl, so factor
-    dominance gives it by multiplying bounds, and the diagonal index pairs
-    (k, l) = (i, j), m_ij^2 <= a_ij^2, give the converse.  A caller that
-    already holds the factor inverses passes them in."""
-    inv_a = inverse(a) if inv_a is None else inv_a
-    inv_m = inverse(m) if inv_m is None else inv_m
+def _dominance_verdict(n: int, pair: str, variant: str, inv_a: Matrix,
+                       inv_m: Matrix) -> OrderingVerdict:
+    """|(M (x) M)^-1| <= |(A (x) A)^-1| entrywise, decided on the factor
+    inverses: the Kronecker entries are products m_ij m_kl and a_ij a_kl,
+    so factor dominance gives it by multiplying bounds, and the diagonal
+    index pairs (k, l) = (i, j), m_ij^2 <= a_ij^2, give the converse."""
     for i, (arow, mrow) in enumerate(zip(inv_a, inv_m)):
         for j, (av, mv) in enumerate(zip(arow, mrow)):
             if abs(mv) > abs(av):
@@ -322,8 +318,8 @@ def _pair_verdicts(n: int, variant: str, m: Matrix,
         if need_inverses:
             inv_a = inv_m if same else inverse(a)
         if "i" in parts:
-            verdicts.append(_dominance_verdict(n, pair, variant, a, m,
-                                               inv_a, inv_m))
+            verdicts.append(_dominance_verdict(n, pair, variant, inv_a,
+                                               inv_m))
         if "ii" in parts:
             rep_a = rep_m if same else spectral_report(a, DEFAULT_TOL)
             verdicts.append(_spectral_verdict(n, pair, variant, rep_a, rep_m,

@@ -14,19 +14,27 @@ counts are unchanged, and signs at a rational a/b (b > 0) come from the
 homogeneous Horner sum sum c_i a^i b^(d-i), with no rational arithmetic.
 A polynomial p and its squarefree part q = p / gcd(p, p') have the same
 roots, and gcd(p, p') is the last element of p's chain; q is kept
-primitive over Z.
+primitive over Z.  Dividing the chain by gcd(p, p') gives a Sturm chain of
+q, so at every point that is not a root, p's chain counts q's roots: one
+chain is built per polynomial.
 
-``min_eigenvalue`` reads the number of distinct real roots of q off the
-leading coefficients of its chain (B, the Cauchy bound, is a strict root
-bound, so V(-B) - V(B) = V(-inf) - V(+inf)): the spectrum is all real
-exactly when that count is deg q.  The answer is the cell that bisecting
-(-B, B) along the smallest root ends on.  Bisection is path-independent,
-so Newton finds that cell: from 0 it climbs towards the smallest root on
-the cell grid and never passes it, and one chain evaluation plus a
-rational-root test of the midpoints on the way certify the cell.  When a
-certificate fails (a root <= 0, a midpoint that is a root, two roots in
-one cell, a climb that stalls) the bisection descent runs instead, and
-``refine_root`` bisects its enclosure.  ``min_singular_value`` forms
+Root counts come from the sign variations V at the two ends of an
+interval; B, the Cauchy bound, is a strict root bound, so V(-B) and V(B)
+are read off the chain's leading coefficients as V(-inf) and V(+inf).
+One bisection walk of (-B, B], in which every midpoint costs one chain
+evaluation, yields the enclosures of the roots in ascending order:
+``isolate_real_roots`` collects them all, and ``min_eigenvalue`` takes
+the first.
+
+``min_eigenvalue`` requires V(-inf) - V(+inf) = deg q, i.e. an all-real
+spectrum.  The answer is the cell that bisecting (-B, B) along the
+smallest root ends on.  Bisection is path-independent, so Newton finds
+that cell: from 0 it climbs towards the smallest root on the cell grid
+and never passes it, and one chain evaluation plus a rational-root test of
+the midpoints on the way certify the cell.  When a certificate fails (a
+root <= 0, a midpoint that is a root, two roots in one cell, a climb that
+stalls) the walk's first enclosure is taken instead, and ``refine_root``
+bisects it.  ``min_singular_value`` forms
 A^T A over Z, does the same on it and separates the result from zero;
 ``spectral_report`` is those two calls, and ``refine_report`` tightens a
 report in place.  Every reported value is a rational interval guaranteed
@@ -58,13 +66,6 @@ def poly_trim(p: Poly) -> Poly:
     while p and p[-1] == 0:
         p = p[:-1]
     return p
-
-
-def poly_eval(p: Poly, x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
 
 
 def poly_deriv(p: Poly) -> Poly:
@@ -174,6 +175,12 @@ def _sign_variations(chain: list[list[int]], x: Fraction) -> int:
     return _variations(_sign_at(q, x) for q in chain)
 
 
+def _variations_at_infinity(chain: list[list[int]]) -> tuple[int, int]:
+    """V(-inf) and V(+inf), read off the leading coefficients."""
+    return (_variations(_sign(p[-1]) * (-1) ** (len(p) - 1) for p in chain),
+            _variations(_sign(p[-1]) for p in chain))
+
+
 def count_roots(chain: list[list[int]], a: Fraction, b: Fraction) -> int:
     """Number of distinct real roots in the half-open interval (a, b]."""
     return _sign_variations(chain, a) - _sign_variations(chain, b)
@@ -207,14 +214,17 @@ class RootEnclosure(namedtuple("RootEnclosure", "low high polynomial")):
 
 def _squarefree_chain(p: Poly) -> tuple[list[int], list[list[int]]]:
     """Squarefree part q = p / gcd(p, p') of p, made primitive over Z with
-    the sign of p's leading coefficient, and the Sturm chain of q."""
+    the sign of p's leading coefficient, and the Sturm chain of p.
+
+    The chain divided by its last element, gcd(p, p'), is a Sturm chain of
+    q, and the gcd vanishes only at roots of q, so at any other point the
+    sign variations of p's chain count q's roots."""
     chain = sturm_chain(p)
     q, gcd = chain[0], chain[-1]
     if len(gcd) > 1:  # repeated root: divide out the gcd
         q = _exact_quotient(q, gcd)
         if (q[-1] > 0) != (chain[0][-1] > 0):
             q = [-c for c in q]
-        chain = sturm_chain(q)
     return q, chain
 
 
@@ -232,6 +242,34 @@ def _exact_root_enclosure(
     return RootEnclosure(root - radius, root + radius, tuple(q))
 
 
+def _walk(q: list[int], chain: list[list[int]], low: Fraction, v_low: int,
+          high: Fraction, v_high: int):
+    """Enclosures of the roots of q in (low, high], in ascending order, where
+    V(low) = v_low and V(high) = v_high on ``chain``.
+
+    Bisection: an interval holding one root is an enclosure, one holding
+    more is split at its midpoint.  Each interval carries the counts of its
+    ends, so a midpoint costs one chain evaluation.  A midpoint that is a
+    root gets an exact-hit enclosure, and its two sides are walked on.
+    """
+    stack = [(low, v_low, high, v_high)]
+    while stack:
+        a, v_a, b, v_b = stack.pop()
+        if v_a - v_b == 1:
+            yield RootEnclosure(a, b, tuple(q))
+        elif v_a - v_b > 1:
+            mid = (a + b) / 2
+            if _sign_at(q, mid) == 0:
+                enc = _exact_root_enclosure(q, chain, mid, (b - a) / 4)
+                v = _sign_variations(chain, enc.low)
+                stack += [(enc.high, v - 1, b, v_b),
+                          (enc.low, v, enc.high, v - 1),
+                          (a, v_a, enc.low, v)]
+            else:
+                v = _sign_variations(chain, mid)
+                stack += [(mid, v, b, v_b), (a, v_a, mid, v)]
+
+
 def isolate_real_roots(p: Poly) -> list[RootEnclosure]:
     """Sorted, pairwise-disjoint enclosures of all distinct real roots of p.
 
@@ -244,29 +282,9 @@ def isolate_real_roots(p: Poly) -> list[RootEnclosure]:
     if not p:
         raise DomainError("cannot isolate roots of the zero polynomial")
     q, chain = _squarefree_chain(p)
-    if len(q) <= 1:
-        return []
+    v_left, v_right = _variations_at_infinity(chain)
     bound = cauchy_bound(q)
-    out: list[RootEnclosure] = []
-    stack = [(-bound, bound)]
-    while stack:
-        a, b = stack.pop()
-        k = count_roots(chain, a, b)
-        if k == 0:
-            continue
-        if k == 1:
-            out.append(RootEnclosure(a, b, tuple(q)))
-            continue
-        mid = (a + b) / 2
-        if _sign_at(q, mid) == 0:
-            enc = _exact_root_enclosure(q, chain, mid, (b - a) / 4)
-            out.append(enc)
-            stack.append((a, enc.low))
-            stack.append((enc.high, b))
-        else:
-            stack.append((a, mid))
-            stack.append((mid, b))
-    return sorted(out, key=lambda e: e.low)
+    return list(_walk(q, chain, -bound, v_left, bound, v_right))
 
 
 def _levels(width: Fraction, tol: Fraction) -> int:
@@ -366,70 +384,26 @@ def refine_report(rep: SpectralReport, tol: Fraction) -> SpectralReport:
                           rep.all_eigs_real_positive)
 
 
-def _require_real(q: list[int], v_low: int, v_high: int) -> None:
-    """Raise unless q has deg q distinct real roots, V(low) - V(high) of
-    them lying in (low, high]."""
-    if v_low == v_high or v_low - v_high != len(q) - 1:
-        raise SpectralAssumptionError(
-            "not every eigenvalue is real; matrix is outside the totally "
-            "positive regime this module assumes"
-        )
-
-
-def _descend(q: list[int], chain: list[list[int]]) -> RootEnclosure:
-    """Enclosure of the smallest root of q; errors unless every root is real.
-
-    q has deg q distinct real roots exactly when they all lie in (-B, B].
-    The bisection then descends along the leftmost root only; the first
-    interval holding exactly one root is the enclosure
-    ``isolate_real_roots`` finds for it.
-    """
-    low = -cauchy_bound(q)
-    high = -low
-    v_low, v_high = _sign_variations(chain, low), _sign_variations(chain, high)
-    _require_real(q, v_low, v_high)
-    while v_low - v_high > 1:
-        mid = (low + high) / 2
-        if _sign_at(q, mid) == 0:
-            enc = _exact_root_enclosure(q, chain, mid, (high - low) / 4)
-            v_enc = _sign_variations(chain, enc.low)
-            if v_enc == v_low:  # no root left of the one hit
-                return enc
-            high, v_high = enc.low, v_enc
-            continue
-        v_mid = _sign_variations(chain, mid)
-        if v_mid < v_low:
-            high, v_high = mid, v_mid
-        else:
-            low = mid
-    return RootEnclosure(low, high, tuple(q))
-
-
-def _smallest_eigenvalue(a: Matrix) -> RootEnclosure:
-    """Enclosure of the smallest eigenvalue by the bisection descent; the
-    characteristic polynomial and its squarefree part have the same roots."""
-    return _descend(*_squarefree_chain(char_poly(a)))
-
-
 _SLOW_STEPS = 4
 
 
 def _newton_smallest(
     q: list[int], chain: list[list[int]], v_left: int, tol: Fraction
 ) -> RootEnclosure | None:
-    """The enclosure ``refine_root(_descend(q, chain), tol)`` returns, for a
-    real-rooted q with V(-inf) = v_left, found by Newton and certified;
-    None when a certificate fails.
+    """The enclosure that refining the walk's first one to ``tol`` returns,
+    for a real-rooted q with V(-inf) = v_left, found by Newton and
+    certified; None when a certificate fails.
 
-    Both bisect (-B, B), so they end on the level-L cell holding the
-    smallest root, L the smallest level with 2B / 2^L <= tol, as long as
-    no midpoint on the way is a root and no other root shares the cell.
-    When every root is positive, Newton from 0 climbs towards the smallest
-    root and never passes it; each step is rounded down to the grid, and a
-    step shorter than one cell becomes one cell.  Near a simple root the
-    steps shrink fast; near a cluster of k roots each is about 1 - 1/k of
-    the last, so after ``_SLOW_STEPS`` steps in a row longer than 2/5 of
-    the one before, the climb is left to the descent.
+    The walk and ``refine_root`` bisect (-B, B), so they end on the level-L
+    cell holding the smallest root, L the smallest level with
+    2B / 2^L <= tol, as long as no midpoint on the way is a root and no
+    other root shares the cell.  When every root is positive, Newton from 0
+    climbs towards the smallest root and never passes it; each step is
+    rounded down to the grid, and a step shorter than one cell becomes one
+    cell.  Near a simple root the steps shrink fast; near a cluster of k
+    roots each is about 1 - 1/k of the last, so after ``_SLOW_STEPS`` steps
+    in a row longer than 2/5 of the one before, the climb is left to the
+    walk.
     """
     if q[0] == 0 or _variations(_sign(p[0]) for p in chain) != v_left:
         return None  # a root <= 0
@@ -486,16 +460,25 @@ def _separated_from_zero(enc: RootEnclosure) -> RootEnclosure | None:
 def min_eigenvalue(a: Matrix, tol: Fraction = DEFAULT_TOL) -> RootEnclosure:
     """Enclosure of the smallest (real) eigenvalue, refined to width <= tol.
 
-    The Cauchy bound B is a strict root bound, so V(-B) - V(B) is read off
-    the chain's leading coefficients.  The Newton path needs one chain
-    evaluation; the bisection descent is the fallback.
+    Errors unless the characteristic polynomial has as many distinct real
+    roots, V(-inf) - V(+inf), as its squarefree part q has degree.  The
+    Newton path needs one chain evaluation; the fallback is the first
+    enclosure of the walk of (-B, B], which starts from the same counts.
     """
     q, chain = _squarefree_chain(char_poly(a))
-    v_left = _variations(_sign(p[-1]) * (-1) ** (len(p) - 1) for p in chain)
-    _require_real(q, v_left, _variations(_sign(p[-1]) for p in chain))
+    v_left, v_right = _variations_at_infinity(chain)
+    if v_left == v_right or v_left - v_right != len(q) - 1:
+        raise SpectralAssumptionError(
+            "not every eigenvalue is real; matrix is outside the totally "
+            "positive regime this module assumes"
+        )
     tol = Fraction(tol)
     enc = _newton_smallest(q, chain, v_left, tol) if tol > 0 else None
-    return refine_root(_descend(q, chain), tol) if enc is None else enc
+    if enc is None:
+        bound = cauchy_bound(q)
+        first = next(_walk(q, chain, -bound, v_left, bound, v_right))
+        enc = refine_root(first, tol)
+    return enc
 
 
 def _gram(a: Matrix) -> Matrix:
@@ -601,7 +584,6 @@ __all__ = [
     "kron_min_spectral",
     "min_eigenvalue",
     "min_singular_value",
-    "poly_eval",
     "refine_report",
     "refine_root",
     "spectral_report",

@@ -115,10 +115,12 @@ def _forbid_table_work(monkeypatch):
 
 def test_bad_budget_fails_before_any_table_work(capsys, monkeypatch):
     _forbid_table_work(monkeypatch)
-    assert main(["tables", "--which", "1,2,3,4", "--max-iter", "0"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: max_iter must be >= 1, got 0\n"
+    for argv in (["tables", "--which", "1,2,3,4", "--max-iter", "0"],
+                 ["verify", "--part", "i", "--max-iter", "0"]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: max_iter must be >= 1, got 0\n"
 
 
 def test_budget_is_unchecked_without_a_search(capsys):

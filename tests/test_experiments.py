@@ -122,7 +122,8 @@ def test_goldens_cover_full_grid():
 
 def test_verify_reflexive_case():
     m = collocation_matrix(BasisSpec(BasisFamily.BERNSTEIN, 3), standard_nodes(3))
-    verdict = _dominance_verdict(3, "bernstein vs bernstein", "plain", m, m)
+    verdict = _dominance_verdict(3, "bernstein vs bernstein", "plain",
+                                 inverse(m), inverse(m))
     assert verdict.holds is True
 
 
@@ -170,7 +171,7 @@ def test_scrambled_basis_fails_dominance():
     m = collocation_matrix(BasisSpec(BasisFamily.BERNSTEIN, 3),
                            standard_nodes(3))
     verdict = _dominance_verdict(3, "scrambled vs bernstein", "plain",
-                                 scrambled, m)
+                                 inverse(scrambled), inverse(m))
     assert verdict.holds is False
     i, j, bound, value = verdict.witness
     assert abs(value) > bound
@@ -200,7 +201,7 @@ def test_factor_dominance_matches_kronecker_dominance():
         inv_a, inv_m = inverse(a), inverse(m)
         oracle = dominates(kronecker(abs_matrix(inv_a), abs_matrix(inv_a)),
                            kronecker(inv_m, inv_m))
-        verdict = _dominance_verdict(n, "pair", "plain", a, m)
+        verdict = _dominance_verdict(n, "pair", "plain", inv_a, inv_m)
         assert verdict.holds is oracle
         outcomes.add(oracle)
     assert outcomes == {True, False}  # both directions are exercised

@@ -19,7 +19,6 @@ from tpbases.spectral import (
     CHAR_POLY_MAX_DIM,
     RootEnclosure,
     _gram,
-    _smallest_eigenvalue,
     char_poly,
     count_roots,
     float_crosscheck,
@@ -27,7 +26,6 @@ from tpbases.spectral import (
     kron_min_spectral,
     min_eigenvalue,
     min_singular_value,
-    poly_eval,
     refine_report,
     refine_root,
     spectral_report,
@@ -147,8 +145,38 @@ def test_enclosure_sign_check():
     for p in (frs(2, -3, 1), frs(-2, 0, 1), frs(F(3, 8), F(-5, 4), 1),
               frs(-2, 5, -4, 1)):
         for enc in isolate_real_roots(p):
-            q = list(enc.polynomial)
-            assert poly_eval(q, enc.low) * poly_eval(q, enc.high) <= 0
+            at = [sum(c * x**i for i, c in enumerate(enc.polynomial))
+                  for x in (enc.low, enc.high)]
+            assert at[0] * at[1] <= 0
+
+
+@pytest.mark.parametrize("p,q,ends", [
+    # (x-1)(x-2)(x-3): B = 12, and the midpoint 3 is a root
+    (frs(-6, 11, -6, 1), (-6, 11, -6, 1),
+     [(0, F(9, 8)), (F(9, 8), F(9, 4)), (F(9, 4), F(15, 4))]),
+    # x(x-1): the first midpoint 0 is a root
+    (frs(0, -1, 1), (0, -1, 1), [(F(-1, 2), F(1, 2)), (F(1, 2), 2)]),
+    # (x-1)^2 (x-2), isolated through (x-1)(x-2)
+    (frs(-2, 5, -4, 1), (2, -3, 1), [(0, F(3, 2)), (F(3, 2), F(5, 2))]),
+])
+def test_isolated_enclosures_are_pinned(p, q, ends):
+    assert isolate_real_roots(p) == [RootEnclosure(low, high, q)
+                                     for low, high in ends]
+
+
+def test_isolation_evaluates_the_chain_once_per_point(monkeypatch):
+    # (x^2-2)(x^2-3)(3x-1) has no dyadic root, so no midpoint is a root
+    points = []
+    sign_variations = spectral._sign_variations
+
+    def recorded(chain, x):
+        points.append(x)
+        return sign_variations(chain, x)
+
+    monkeypatch.setattr(spectral, "_sign_variations", recorded)
+    encs = isolate_real_roots(frs(-6, 18, 5, -15, -1, 3))
+    assert len(encs) == 5
+    assert points and len(points) == len(set(points))
 
 
 def test_count_roots_on_exact_hits():
@@ -219,27 +247,34 @@ def _plain_collocation_matrices(degrees):
                                  standard_nodes(n))
 
 
-def test_descent_finds_the_smallest_isolated_root():
-    # the descent follows the bisection tree of isolate_real_roots along
-    # the leftmost root only, so it ends at the same enclosure
+def test_descent_finds_the_smallest_isolated_root(monkeypatch):
+    # with Newton switched off, min_eigenvalue falls back to the first
+    # enclosure the isolating walk yields and refines it
+    monkeypatch.setattr(spectral, "_newton_smallest", lambda *args: None)
     for m in _plain_collocation_matrices(range(1, 12)):
         for a in (m, mat_mul(transpose(m), m)):
-            assert _smallest_eigenvalue(a) == \
-                isolate_real_roots(char_poly(a))[0]
+            assert min_eigenvalue(a, TOL30) == refine_root(
+                isolate_real_roots(char_poly(a))[0], TOL30)
 
 
-@pytest.mark.parametrize("diagonal", [(1, 2, 3), (0, 1)])
+EXACT_HIT_ENDS = {
+    # B = 12 and the midpoint 3 is an eigenvalue, so the descent continues
+    # left of the hit root
+    (1, 2, 3): (1 - F(1, 2**102), 1 + F(7, 2**103)),
+    # the first midpoint 0 is the smallest eigenvalue: the descent stops at
+    # its exact-hit enclosure
+    (0, 1): (-TOL30 / 2, TOL30 / 2),
+}
+
+
+@pytest.mark.parametrize("diagonal", list(EXACT_HIT_ENDS))
 def test_descent_through_exact_hits(diagonal):
-    # diag(1, 2, 3): B = 12 and the midpoint 3 is an eigenvalue, so the
-    # descent continues left of the hit root; diag(0, 1): the first
-    # midpoint 0 is the smallest eigenvalue, so the descent stops there
     m = as_matrix([[v if i == j else 0 for j in range(len(diagonal))]
                    for i, v in enumerate(diagonal)])
-    enc = _smallest_eigenvalue(m)
-    assert enc.low < diagonal[0] < enc.high
+    enc = min_eigenvalue(m, TOL30)
+    assert (enc.low, enc.high) == EXACT_HIT_ENDS[diagonal]
     assert count_roots(sturm_chain(list(enc.polynomial)), enc.low,
                        enc.high) == 1
-    assert enc == isolate_real_roots(char_poly(m))[0]
 
 
 @pytest.mark.parametrize("n", [14, 16])
@@ -292,10 +327,21 @@ def test_isolate_repeated_root_uses_squarefree_part():
         isolate_real_roots(frs(2, -3, 1))
 
 
-def test_min_eigenvalue_with_multiplicity():
+def test_min_eigenvalue_with_multiplicity(monkeypatch):
+    # the chain of the characteristic polynomial also counts the roots of
+    # its squarefree part, so one chain is built
+    builds = []
+    build = spectral.sturm_chain
+
+    def counted(p):
+        builds.append(p)
+        return build(p)
+
+    monkeypatch.setattr(spectral, "sturm_chain", counted)
     m = as_matrix([[1, 0, 0], [0, 1, 0], [0, 0, 2]])
     enc = min_eigenvalue(m, TOL30)
     assert enc.low < 1 < enc.high
+    assert len(builds) == 1
 
 
 # --- minimal eigenvalue / singular value ---
@@ -490,20 +536,20 @@ def test_published_bernstein_values():
 # --- Newton paths against the bisection reference ---
 
 def _bisection_min_eigenvalue(a, tol=TOL30):
-    # the descent followed by bisection: what min_eigenvalue returned
-    # before it climbed by Newton
-    return refine_root(_smallest_eigenvalue(a), tol)
+    # the smallest isolated root refined by bisection, the enclosure the
+    # Newton climb must reproduce
+    return refine_root(isolate_real_roots(char_poly(a))[0], tol)
 
 
 def _count_descents(monkeypatch):
     calls = []
-    descend = spectral._descend
+    walk = spectral._walk
 
-    def counted(q, chain):
+    def counted(q, *args):
         calls.append(len(q) - 1)
-        return descend(q, chain)
+        return walk(q, *args)
 
-    monkeypatch.setattr(spectral, "_descend", counted)
+    monkeypatch.setattr(spectral, "_walk", counted)
     return calls
 
 
