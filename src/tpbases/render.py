@@ -24,17 +24,8 @@ def sci_notation(value: Fraction, sig_digits: int) -> str:
     # Decimal division is correctly rounded at the context precision
     ctx = Context(prec=sig_digits, rounding=ROUND_HALF_EVEN)
     d = ctx.divide(Decimal(value.numerator), Decimal(value.denominator))
-    sign, digits, exp = d.as_tuple()
-    digits = list(digits)
-    # pad in case the quotient needed fewer digits (e.g. exact short values)
-    while len(digits) < sig_digits:
-        digits.append(0)
-        exp -= 1
-    mantissa = f"{digits[0]}.{''.join(str(x) for x in digits[1:])}"
-    if sig_digits == 1:
-        mantissa = str(digits[0])
-    exponent = exp + len(digits) - 1
-    return f"{'-' if sign else ''}{mantissa}e{'+' if exponent >= 0 else '-'}{abs(exponent):02d}"
+    mantissa, exp = format(d, f".{sig_digits - 1}e").split("e")
+    return f"{mantissa}e{int(exp):+03d}"
 
 
 def render_enclosure(

@@ -32,9 +32,9 @@ smallest root ends on.  Bisection is path-independent, so Newton finds
 that cell: from 0 it climbs towards the smallest root on the cell grid
 and never passes it, and one chain evaluation plus a rational-root test of
 the midpoints on the way certify the cell.  When a certificate fails (a
-root <= 0, a midpoint that is a root, two roots in one cell, a climb that
-stalls) the walk's first enclosure is taken instead, and ``refine_root``
-bisects it.  ``min_singular_value`` forms
+root <= 0, a midpoint that is a root, two roots in one cell) the walk's
+first enclosure is taken instead, and ``refine_root`` bisects it.
+``min_singular_value`` forms
 A^T A over Z, does the same on it and separates the result from zero;
 ``spectral_report`` is those two calls, and ``refine_report`` tightens a
 report in place.  Every reported value is a rational interval guaranteed
@@ -228,20 +228,6 @@ def _squarefree_chain(p: Poly) -> tuple[list[int], list[list[int]]]:
     return q, chain
 
 
-def _exact_root_enclosure(
-    q: list[int], chain: list[list[int]], root: Fraction, radius: Fraction
-) -> RootEnclosure:
-    # shrink a symmetric interval around an exactly-hit root until its
-    # endpoints are not roots and no other root sneaks in
-    while (
-        _sign_at(q, root - radius) == 0
-        or _sign_at(q, root + radius) == 0
-        or count_roots(chain, root - radius, root + radius) != 1
-    ):
-        radius /= 2
-    return RootEnclosure(root - radius, root + radius, tuple(q))
-
-
 def _walk(q: list[int], chain: list[list[int]], low: Fraction, v_low: int,
           high: Fraction, v_high: int):
     """Enclosures of the roots of q in (low, high], in ascending order, where
@@ -249,8 +235,11 @@ def _walk(q: list[int], chain: list[list[int]], low: Fraction, v_low: int,
 
     Bisection: an interval holding one root is an enclosure, one holding
     more is split at its midpoint.  Each interval carries the counts of its
-    ends, so a midpoint costs one chain evaluation.  A midpoint that is a
-    root gets an exact-hit enclosure, and its two sides are walked on.
+    ends, so a point costs one chain evaluation.  A midpoint that is a root
+    gets an exact-hit enclosure (mid - r, mid + r): r halves from (b - a) / 4
+    until mid - r is not a root and the counts at the two ends differ by
+    one.  A root at mid + r would be a second one in (mid - r, mid + r], so
+    neither end is a root; the two sides are walked on.
     """
     stack = [(low, v_low, high, v_high)]
     while stack:
@@ -260,11 +249,17 @@ def _walk(q: list[int], chain: list[list[int]], low: Fraction, v_low: int,
         elif v_a - v_b > 1:
             mid = (a + b) / 2
             if _sign_at(q, mid) == 0:
-                enc = _exact_root_enclosure(q, chain, mid, (b - a) / 4)
-                v = _sign_variations(chain, enc.low)
-                stack += [(enc.high, v - 1, b, v_b),
-                          (enc.low, v, enc.high, v - 1),
-                          (a, v_a, enc.low, v)]
+                radius = (b - a) / 4
+                while True:
+                    lo, hi = mid - radius, mid + radius
+                    if _sign_at(q, lo):
+                        v_lo = _sign_variations(chain, lo)
+                        v_hi = _sign_variations(chain, hi)
+                        if v_lo - v_hi == 1:
+                            break
+                    radius /= 2
+                stack += [(hi, v_hi, b, v_b), (lo, v_lo, hi, v_hi),
+                          (a, v_a, lo, v_lo)]
             else:
                 v = _sign_variations(chain, mid)
                 stack += [(mid, v, b, v_b), (a, v_a, mid, v)]
@@ -311,9 +306,9 @@ def refine_root(enc: RootEnclosure, tol: Fraction) -> RootEnclosure:
         mid = (low + high) / 2
         sign = _sign_at(q, mid)
         if sign == 0:
+            # mid is the only root in (low, high), so q has no root at
+            # mid +- radius, which lie strictly inside
             radius = min(tol / 2, (mid - low) / 2, (high - mid) / 2)
-            while _sign_at(q, mid - radius) == 0 or _sign_at(q, mid + radius) == 0:
-                radius /= 2
             return RootEnclosure(mid - radius, mid + radius, enc.polynomial)
         if sign == sign_low:
             low = mid
@@ -384,9 +379,6 @@ def refine_report(rep: SpectralReport, tol: Fraction) -> SpectralReport:
                           rep.all_eigs_real_positive)
 
 
-_SLOW_STEPS = 4
-
-
 def _newton_smallest(
     q: list[int], chain: list[list[int]], v_left: int, tol: Fraction
 ) -> RootEnclosure | None:
@@ -400,10 +392,9 @@ def _newton_smallest(
     other root shares the cell.  When every root is positive, Newton from 0
     climbs towards the smallest root and never passes it; each step is
     rounded down to the grid, and a step shorter than one cell becomes one
-    cell.  Near a simple root the steps shrink fast; near a cluster of k
-    roots each is about 1 - 1/k of the last, so after ``_SLOW_STEPS`` steps
-    in a row longer than 2/5 of the one before, the climb is left to the
-    walk.
+    cell.  The climb takes at most L steps, as many as bisection would, so
+    a cluster of roots, which Newton nears only linearly, costs at most L
+    Horner passes before the walk takes over.
     """
     if q[0] == 0 or _variations(_sign(p[0]) for p in chain) != v_left:
         return None  # a root <= 0
@@ -414,18 +405,15 @@ def _newton_smallest(
     zero = 2 ** (levels - 1)  # grid point i is B (i - zero) / zero
     h = bound / zero
     sign_left = _sign(q[0])
-    j, move, slow = zero, 0, 0
+    j, move = zero, 0
     for _ in range(levels):  # bisection would take as many steps
         sign, step = _newton_at(q, -bound + j * h, h)
         if sign != sign_left:
             break
         if step is None or step < 0:
             return None  # past two roots in one cell
-        step = max(step, 1)
-        slow = slow + 1 if 5 * step > 2 * move > 0 else 0
-        if slow == _SLOW_STEPS:
-            return None  # a linear rate: a cluster of roots ahead
-        prev, move, j = j, step, j + step
+        prev, move = j, max(step, 1)
+        j += move
     else:
         return None
     if sign == 0 or move != 1:
@@ -461,9 +449,10 @@ def min_eigenvalue(a: Matrix, tol: Fraction = DEFAULT_TOL) -> RootEnclosure:
     """Enclosure of the smallest (real) eigenvalue, refined to width <= tol.
 
     Errors unless the characteristic polynomial has as many distinct real
-    roots, V(-inf) - V(+inf), as its squarefree part q has degree.  The
-    Newton path needs one chain evaluation; the fallback is the first
-    enclosure of the walk of (-B, B], which starts from the same counts.
+    roots, V(-inf) - V(+inf), as its squarefree part q has degree, and then
+    unless tol > 0.  The Newton path needs one chain evaluation; the
+    fallback is the first enclosure of the walk of (-B, B], which starts
+    from the same counts.
     """
     q, chain = _squarefree_chain(char_poly(a))
     v_left, v_right = _variations_at_infinity(chain)
@@ -473,7 +462,9 @@ def min_eigenvalue(a: Matrix, tol: Fraction = DEFAULT_TOL) -> RootEnclosure:
             "positive regime this module assumes"
         )
     tol = Fraction(tol)
-    enc = _newton_smallest(q, chain, v_left, tol) if tol > 0 else None
+    if tol <= 0:
+        raise DomainError(f"tolerance must be positive, got {tol}")
+    enc = _newton_smallest(q, chain, v_left, tol)
     if enc is None:
         bound = cauchy_bound(q)
         first = next(_walk(q, chain, -bound, v_left, bound, v_right))

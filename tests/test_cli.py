@@ -103,6 +103,17 @@ def test_flag_beats_env(monkeypatch, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_unwritable_out_path_is_bad_input(capsys, tmp_path):
+    out = tmp_path / "missing" / "x.md"
+    assert main(["tables", "--which", "2", "--degrees", "3",
+                 "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: cannot write")
+    assert not out.parent.exists()
+
+
 def _forbid_table_work(monkeypatch):
     import tpbases.experiments as experiments
 

@@ -47,6 +47,13 @@ def test_sci_notation():
     # round-half-even at the boundary digit
     assert sci_notation(F(1250), 2) == "1.2e+03"
     assert sci_notation(F(1350), 2) == "1.4e+03"
+    # one digit has no point; rounding may carry into a new exponent
+    assert sci_notation(F(96, 10), 1) == "1e+01"
+    assert sci_notation(F(-5, 2), 1) == "-2e+00"
+    assert sci_notation(F(9996, 1000), 3) == "1.00e+01"
+    # three-digit exponents
+    assert sci_notation(F(10) ** 300, 2) == "1.0e+300"
+    assert sci_notation(F(1, 10**300), 4) == "1.000e-300"
 
 
 def test_plain_tables_match_goldens(plain_run):

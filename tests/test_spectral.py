@@ -165,7 +165,9 @@ def test_isolated_enclosures_are_pinned(p, q, ends):
 
 
 def test_isolation_evaluates_the_chain_once_per_point(monkeypatch):
-    # (x^2-2)(x^2-3)(3x-1) has no dyadic root, so no midpoint is a root
+    # (x^2-2)(x^2-3)(3x-1) has no dyadic root, so no midpoint is a root;
+    # in (x-1)(x-2)(x-3) the midpoint 3 is, and its exact-hit enclosure
+    # reuses the counts at its ends
     points = []
     sign_variations = spectral._sign_variations
 
@@ -174,9 +176,10 @@ def test_isolation_evaluates_the_chain_once_per_point(monkeypatch):
         return sign_variations(chain, x)
 
     monkeypatch.setattr(spectral, "_sign_variations", recorded)
-    encs = isolate_real_roots(frs(-6, 18, 5, -15, -1, 3))
-    assert len(encs) == 5
-    assert points and len(points) == len(set(points))
+    for p, roots in ((frs(-6, 18, 5, -15, -1, 3), 5), (frs(-6, 11, -6, 1), 3)):
+        points.clear()
+        assert len(isolate_real_roots(p)) == roots
+        assert points and len(points) == len(set(points))
 
 
 def test_count_roots_on_exact_hits():
@@ -576,7 +579,7 @@ TINY = F(1, 10**40)
     ((1, 2, 3), TOL30),           # the descent's midpoint 3 is an eigenvalue
     ((1,), TOL30),                # Newton lands on 1, a grid point
     ((1,), F(10)),                # one cell is wider than (-B, B)
-    ((1, 1 + TINY), TOL30),       # two roots < tol apart: the climb stalls
+    ((1, 1 + TINY), TOL30),       # two roots < tol apart share a cell
     ((10**6, 1, 1 + TINY), TOL30),  # two roots in one cell: no sign change
     ((10**40, 1, 1 + TINY, 1 + 2 * TINY), TOL30),  # three roots in one cell
     ((F(3, 2), F(3, 2) + TINY, F(3, 2) + 2 * TINY), F(1)),  # the same, reached fast
@@ -592,10 +595,14 @@ def test_min_eigenvalue_falls_back_to_the_descent(diagonal, tol, monkeypatch):
 
 @pytest.mark.parametrize("diagonal", [(1, 1 + TINY), (1, F(1001, 1000)),
                                       (1, F(11, 10), F(12, 10), F(13, 10))])
-def test_climb_toward_a_cluster_stops_early(diagonal, monkeypatch):
-    # Newton approaches a cluster of k roots at the linear rate 1 - 1/k
+def test_climb_toward_a_cluster(diagonal, monkeypatch):
+    # Newton approaches a cluster of k roots at the linear rate 1 - 1/k, yet
+    # within the level count it reaches the smallest root's cell unless a
+    # second root shares that cell; then the walk takes over
     m = _diagonal(*diagonal)
     expected = _bisection_min_eigenvalue(m)
+    q = list(expected.polynomial)
+    levels = spectral._levels(2 * spectral.cauchy_bound(q), TOL30)
     calls = []
     newton_at = spectral._newton_at
 
@@ -606,13 +613,21 @@ def test_climb_toward_a_cluster_stops_early(diagonal, monkeypatch):
     monkeypatch.setattr(spectral, "_newton_at", counted)
     descents = _count_descents(monkeypatch)
     assert min_eigenvalue(m) == expected
-    assert len(calls) == spectral._SLOW_STEPS + 1
-    assert descents == [len(diagonal)]
+    if diagonal[1] - diagonal[0] < TOL30:
+        assert descents == [len(diagonal)]
+        assert len(calls) <= levels
+    else:
+        assert descents == []
 
 
-def test_min_eigenvalue_checks_tolerance_after_the_spectrum():
+def test_min_eigenvalue_checks_tolerance_after_the_spectrum(monkeypatch):
     with pytest.raises(SpectralAssumptionError):
         min_eigenvalue(as_matrix([[0, -1], [1, 0]]), F(0))
+
+    def walk(*args):
+        raise AssertionError("the walk ran before the tolerance check")
+
+    monkeypatch.setattr(spectral, "_walk", walk)
     with pytest.raises(DomainError):
         min_eigenvalue(as_matrix([[2, 1], [1, 2]]), F(0))
 
