@@ -19,7 +19,6 @@ _EXPORTS = {
         "convert_bernstein_weights",
         "eval_basis_function",
         "eval_basis_row",
-        "search_positive_weights",
         "standard_nodes",
     ), "bases"),
     **dict.fromkeys((
@@ -50,7 +49,7 @@ _EXPORTS = {
         "kronecker",
     ), "linalg"),
     "sci_notation": "render",
-    "SplitMix64": "rng",
+    **dict.fromkeys(("SplitMix64", "search_positive_weights"), "rng"),
     **dict.fromkeys((
         "RootEnclosure",
         "SpectralReport",

@@ -11,6 +11,10 @@ The default here lowers that exponent to (n+1)/2, which restores the
 partition of unity and matches the even-degree pattern; the printed
 variant stays available behind ``dp_literal_middle`` for reproducing
 published tables that were evidently computed with it.
+
+``convert_bernstein_weights`` re-expresses one polynomial in all four
+bases; the search for weights that stay positive in every basis draws
+from the generator's stream and lives with it in ``rng``.
 """
 
 from __future__ import annotations
@@ -20,10 +24,7 @@ from collections import namedtuple
 from enum import Enum
 from fractions import Fraction
 
-from .errors import DomainError, SearchExhaustedError
-from .rng import BLOCK, FLAG_BYTE, LANE_BYTES, SplitMix64
-
-DEFAULT_SEARCH_MAX_ITER = 10**6
+from .errors import DomainError
 
 
 class BasisFamily(Enum):
@@ -187,154 +188,3 @@ def convert_bernstein_weights(n: int, w) -> WeightConversionResult:
     dp = _solve_collocation(BasisSpec(BasisFamily.DP, n), values)
     all_positive = all(v > 0 for vec in (w, saidball, monomial, dp) for v in vec)
     return WeightConversionResult(w, saidball, monomial, dp, all_positive)
-
-
-def _accepted(block: bytes, pending: bytes) -> tuple[bytes, list[int]]:
-    """``pending`` followed by the lanes of ``block`` whose reject flag is
-    clear, and the positions of the flagged lanes, ascending."""
-    # one find per rejected output; the kept runs between them are copied
-    # whole
-    flags = block[FLAG_BYTE::LANE_BYTES]
-    view = memoryview(block)
-    runs, rejects, start = [pending], [], 0
-    i = flags.find(1)
-    while i >= 0:
-        rejects.append(i)
-        runs.append(view[start * LANE_BYTES:i * LANE_BYTES])
-        start = i + 1
-        i = flags.find(1, start)
-    runs.append(view[start * LANE_BYTES:])
-    return b"".join(runs), rejects
-
-
-def _monomial_prechecked(lanes: bytes, n: int, count: int, bits: int) -> list[int]:
-    """Indices i < count, ascending, of the vectors whose monomial
-    coefficients are all positive.
-
-    Vector i is the values of lanes i(n+1), ..., i(n+1) + n of ``lanes``,
-    16 little-endian bytes each; every value is below 2^bits, bits <= 64.
-    """
-    # The monomial coefficients of sum w_j b_j^n are C(n,k) * (k-th forward
-    # difference of w at 0), so positivity reduces to positive differences.
-    # Column j (entry j of every vector) is packed into one int with a
-    # W-byte lane per vector and every lane biased by B = 2^(8W-1).  A
-    # difference of order d <= n has absolute value below 2^(bits+d-1), at
-    # most 2^(8W-3) as 8W >= bits + n + 2, so the biased lanes stay inside
-    # [0, 2^(8W)) and one big-int operation acts on each lane alone.
-    k = n + 1
-    width = -(-(bits + n + 2) // 8)
-    stride = LANE_BYTES * k
-    bias = int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
-    ones = int.from_bytes((1).to_bytes(width, "little") * count, "little")
-
-    def column(j: int) -> int:
-        packed = bytearray(count * width)
-        for b in range(-(-bits // 8)):
-            start = j * LANE_BYTES + b
-            packed[b::width] = lanes[start:count * stride:stride]
-        return int.from_bytes(packed, "little") | bias
-
-    # the anti-diagonal Δ^m w_(d-m), m = 0..d: each new column w_d extends
-    # it by one order, and its last entry is the leading difference Δ^d w_0
-    diagonal = [column(0)]
-    alive = bias  # a lane's sign bit: every leading difference so far > 0
-    for d in range(1, k):
-        t = column(d)
-        extended = [t]
-        for prev in diagonal:
-            t = t - prev + bias
-            extended.append(t)
-        diagonal = extended
-        alive &= t - ones  # the lane's sign bit is set iff Δ^d w_0 >= 1
-        if not alive:
-            return []
-    signs = alive.to_bytes(count * width, "little")[width - 1::width]
-    index = []
-    i = signs.find(0x80)
-    while i >= 0:
-        index.append(i)
-        i = signs.find(0x80, i + 1)
-    return index
-
-
-def _raw_count(rejects: list[int], m: int) -> int:
-    """Number of outputs of a block up to and including its m-th kept one,
-    i.e. those ``randint`` consumed to accept m values, given the ascending
-    positions of the block's rejected outputs."""
-    r = 0  # the rejects before the m-th kept output, which sits at m - 1 + r
-    for pos in rejects:
-        if pos > m - 1 + r:
-            break
-        r += 1
-    return m + r
-
-
-def check_search_bounds(lo: int, hi: int, max_iter: int) -> None:
-    """Raise unless 1 <= lo <= hi and max_iter >= 1, the weight search's
-    range and budget."""
-    if not 1 <= lo <= hi:
-        raise DomainError(f"need 1 <= lo <= hi, got lo={lo}, hi={hi}")
-    if max_iter < 1:
-        raise DomainError(f"max_iter must be >= 1, got {max_iter}")
-
-
-def search_positive_weights(
-    n: int,
-    lo: int,
-    hi: int,
-    seed: int | None = None,
-    max_iter: int = DEFAULT_SEARCH_MAX_ITER,
-    rng: SplitMix64 | None = None,
-) -> WeightConversionResult:
-    """Draw integer weight vectors from [lo, hi]^(n+1) until one converts to
-    all-positive weights in all four bases.
-
-    Either a seed or an already-running generator must be supplied; passing
-    a generator lets several searches share one deterministic stream.
-
-    The vectors, their order and the generator state afterwards are those
-    of drawing each vector with n+1 calls of ``rng.randint(lo, hi)`` and
-    stopping after the first vector that converts, or after ``max_iter``
-    vectors.  The stream is evaluated a block of outputs at a time, as
-    big-int lane arithmetic: ``SplitMix64.packed_block`` returns the masked
-    outputs with ``randint``'s reject flags, the runs between rejected
-    outputs are joined into the accepted values, the vectors' columns are
-    packed into one int each, and a pre-check on the leading forward
-    differences of every vector at once drops those with a non-positive
-    monomial coefficient.  Python steps through the rejected outputs and
-    the surviving vectors only, and the survivors reach the exact
-    conversion in stream order.
-    """
-    if n < 1:
-        raise DomainError(f"degree must be >= 1, got {n}")
-    check_search_bounds(lo, hi, max_iter)
-    if rng is None:
-        if seed is None:
-            raise DomainError("either seed or rng must be given")
-        rng = SplitMix64(seed)
-
-    k = n + 1
-    span = hi - lo + 1
-    mask = (1 << (span - 1).bit_length()) - 1  # randint's covering range
-    bits = min(mask.bit_length(), 64)
-    pending = b""  # lanes of accepted values of a vector the block cut off
-    remaining = max_iter
-    while True:
-        vals, rejects = _accepted(rng.packed_block(mask, span), pending)
-        carried = len(pending) // LANE_BYTES
-        count = min(len(vals) // (k * LANE_BYTES), remaining)
-        # cheap integer pre-check; the exact conversion is the oracle
-        for i in _monomial_prechecked(vals, n, count, bits):
-            w = [lo + int.from_bytes(vals[j:j + LANE_BYTES], "little")
-                 for j in range(i * k * LANE_BYTES, (i + 1) * k * LANE_BYTES,
-                                LANE_BYTES)]
-            result = convert_bernstein_weights(n, w)
-            if result.all_positive:
-                rng.skip(_raw_count(rejects, (i + 1) * k - carried))
-                return result
-        remaining -= count
-        if not remaining:
-            rng.skip(_raw_count(rejects, count * k - carried))
-            raise SearchExhaustedError(max_iter, seed)
-        pending = vals[count * k * LANE_BYTES:]
-        rng.skip(BLOCK)

@@ -4,8 +4,8 @@ Exit codes: 0 success, 1 verification or golden-table failure, 2 bad
 input, 3 weight-search exhaustion.
 
 Each command imports what it runs: ``eval`` needs only the basis and
-rendering modules, so the experiment grid is imported inside the
-``tables`` and ``verify`` paths.
+rendering modules, so the experiment grid and the weight search's bounds
+check are imported inside the ``tables`` and ``verify`` paths.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import argparse
 import os
 import sys
 
-from .bases import BasisFamily, BasisSpec, check_search_bounds, eval_basis_row
+from .bases import BasisFamily, BasisSpec, eval_basis_row
 from .errors import DomainError, SearchExhaustedError
 from .render import fraction_str, parse_fraction
 
@@ -127,6 +127,7 @@ def _cmd_tables(args) -> int:
         run_table_1_2,
         run_table_3_4,
     )
+    from .rng import check_search_bounds
 
     which = set(_parse_int_list(args.which))
     if not which or not which.issubset({1, 2, 3, 4}):
@@ -162,6 +163,7 @@ def _cmd_verify(args) -> int:
         render_report,
         verify_orderings,
     )
+    from .rng import check_search_bounds
 
     parts = ("i", "ii", "iii") if args.part == "all" else (args.part,)
     config = _make_config(args)

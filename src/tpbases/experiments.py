@@ -13,18 +13,11 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
-from .bases import (
-    BasisFamily,
-    BasisSpec,
-    DEFAULT_SEARCH_MAX_ITER,
-    WeightConversionResult,
-    search_positive_weights,
-    standard_nodes,
-)
+from .bases import BasisFamily, BasisSpec, WeightConversionResult, standard_nodes
 from .errors import SearchExhaustedError, SpectralAssumptionError
 from .linalg import Matrix, collocation_matrix, cond_inf, inf_norm, inverse
 from .render import fraction_str, render_enclosure, sci_notation
-from .rng import SplitMix64
+from .rng import DEFAULT_SEARCH_MAX_ITER, SplitMix64, search_positive_weights
 from .spectral import (
     DEFAULT_TOL,
     RootEnclosure,

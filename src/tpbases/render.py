@@ -11,7 +11,6 @@ from decimal import Context, Decimal, ROUND_HALF_EVEN
 from fractions import Fraction
 
 from .errors import DomainError
-from .spectral import RootEnclosure, sqrt_enclosure
 
 
 def sci_notation(value: Fraction, sig_digits: int) -> str:
@@ -20,7 +19,7 @@ def sci_notation(value: Fraction, sig_digits: int) -> str:
         raise DomainError(f"need at least one significant digit, got {sig_digits}")
     value = Fraction(value)
     if value == 0:
-        return "0." + "0" * (sig_digits - 1) + "e+00"
+        return format(0, f".{sig_digits - 1}e")
     # Decimal division is correctly rounded at the context precision
     ctx = Context(prec=sig_digits, rounding=ROUND_HALF_EVEN)
     d = ctx.divide(Decimal(value.numerator), Decimal(value.denominator))
@@ -28,17 +27,18 @@ def sci_notation(value: Fraction, sig_digits: int) -> str:
     return f"{mantissa}e{int(exp):+03d}"
 
 
-def render_enclosure(
-    enc: RootEnclosure, sig_digits: int, sqrt: bool = False
-) -> str | None:
-    """Render an enclosure as one decimal string, or None when the interval
-    is still too wide to round unambiguously.
+def render_enclosure(enc, sig_digits: int, sqrt: bool = False) -> str | None:
+    """Render an enclosure (its ``low`` and ``high``) as one decimal
+    string, or None when the interval is still too wide to round
+    unambiguously.
 
     With ``sqrt=True`` the enclosure is treated as holding a squared value
     (sigma_min^2) and an outward-rounded square root is rendered.
     """
     low, high = enc.low, enc.high
     if sqrt:
+        from .spectral import sqrt_enclosure
+
         low, high = sqrt_enclosure(low, high)
     s_low = sci_notation(low, sig_digits)
     s_high = sci_notation(high, sig_digits)

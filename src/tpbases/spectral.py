@@ -550,6 +550,8 @@ def sqrt_enclosure(low: Fraction, high: Fraction) -> tuple[Fraction, Fraction]:
     """
     if low < 0:
         raise DomainError("cannot take the square root of a negative bound")
+    if low > high:
+        raise DomainError(f"inverted bounds: low {low} > high {high}")
     digits = 40
     if high > 0:
         digits = max(digits, len(str(high.denominator // high.numerator)) - 1)

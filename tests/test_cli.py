@@ -206,14 +206,15 @@ def test_report_imports_no_numpy():
     assert out.splitlines()[-1] == "0 False"
 
 
-def _modules_after(argv):
+def _modules_after(argv, watched=("tpbases.experiments", "json",
+                                  "dataclasses")):
     """The exit code of ``main(argv)`` in a fresh interpreter and which of
-    ``tpbases.experiments``, ``json`` and ``dataclasses`` it left loaded;
-    ``-S`` keeps site hooks from preloading any of them."""
+    the ``watched`` modules it left loaded; ``-S`` keeps site hooks from
+    preloading any of them."""
     code = ("import sys\n"
             "from tpbases.cli import main\n"
             f"code = main({argv!r})\n"
-            "watched = ('tpbases.experiments', 'json', 'dataclasses')\n"
+            f"watched = {watched!r}\n"
             "print(code, sorted(m for m in watched if m in sys.modules))\n")
     env = {k: v for k, v in os.environ.items() if k != "TPB_SEED"}
     env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
@@ -224,7 +225,9 @@ def _modules_after(argv):
 
 def test_eval_imports_only_the_basis_and_rendering_modules():
     argv = ["eval", "--family", "said-ball", "--degree", "3", "--x", "1/5"]
-    assert _modules_after(argv) == "0 []"
+    watched = ("tpbases.experiments", "tpbases.linalg", "tpbases.rng",
+               "tpbases.spectral", "json", "dataclasses")
+    assert _modules_after(argv, watched) == "0 []"
 
 
 def test_csv_tables_import_no_json():

@@ -50,6 +50,7 @@ def test_sci_notation():
     # one digit has no point; rounding may carry into a new exponent
     assert sci_notation(F(96, 10), 1) == "1e+01"
     assert sci_notation(F(-5, 2), 1) == "-2e+00"
+    assert sci_notation(F(0), 1) == "0e+00"
     assert sci_notation(F(9996, 1000), 3) == "1.00e+01"
     # three-digit exponents
     assert sci_notation(F(10) ** 300, 2) == "1.0e+300"

@@ -435,6 +435,12 @@ def test_sqrt_enclosure_keeps_tiny_values_positive():
     assert hi**2 >= F(2, 10**85)
 
 
+@pytest.mark.parametrize("low, high", [(F(-1), F(1)), (F(2), F(1))])
+def test_sqrt_enclosure_rejects_negative_and_inverted_bounds(low, high):
+    with pytest.raises(DomainError):
+        sqrt_enclosure(low, high)
+
+
 def test_render_sqrt_of_tiny_enclosure():
     enc = RootEnclosure(F(1, 10**85), F(1, 10**85) + F(1, 10**95), None)
     assert render_enclosure(enc, 3, sqrt=True) == "3.16e-43"
