@@ -2,7 +2,8 @@
 
 A matrix is a list of equal-length lists of ``fractions.Fraction``.  All
 operations here are exact; floating point appears nowhere in this module.
-``inverse``, ``solve`` and ``det`` share one elimination over the integers.
+``inverse``, ``solve`` and ``det`` share one elimination over the integers;
+``is_totally_positive`` tests total nonnegativity by deleting derivations.
 """
 
 from __future__ import annotations
@@ -10,14 +11,11 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from fractions import Fraction
-from itertools import combinations
 
 from .bases import BasisSpec, eval_basis_row
 from .errors import DomainError, SingularMatrixError
 
 Matrix = list[list[Fraction]]
-
-MINOR_CHECK_MAX_DIM = 8
 
 
 def as_matrix(rows) -> Matrix:
@@ -77,6 +75,8 @@ def _eliminate(a: Matrix, rhs: Matrix) -> tuple[Fraction, Matrix]:
     (Bareiss, Math. Comp. 22, 1968), and the left block ends as p_last*I.
     """
     n = len(a)
+    if any(len(row) != n for row in a):
+        raise DomainError("matrix must be square")
     m, scale, prev = [], 1, 1
     for row, aug in zip(a, rhs):
         s = math.lcm(*(v.denominator for v in row + aug))
@@ -100,18 +100,12 @@ def _eliminate(a: Matrix, rhs: Matrix) -> tuple[Fraction, Matrix]:
 
 def inverse(a: Matrix) -> Matrix:
     """Exact inverse of a square nonsingular matrix."""
-    n = len(a)
-    if any(len(row) != n for row in a):
-        raise DomainError("matrix must be square")
-    return _eliminate(a, identity(n))[1]
+    return _eliminate(a, identity(len(a)))[1]
 
 
 def solve(a: Matrix, b) -> list[Fraction]:
     """Solve A x = b exactly."""
-    n = len(a)
-    if any(len(row) != n for row in a):
-        raise DomainError("matrix must be square")
-    if len(b) != n:
+    if len(b) != len(a):
         raise DomainError("right-hand side has wrong length")
     return [row[0] for row in _eliminate(a, [[Fraction(v)] for v in b])[1]]
 
@@ -144,29 +138,55 @@ def det(a: Matrix) -> Fraction:
 
 class TotalPositivityCertificate(namedtuple(
         "TotalPositivityCertificate", "is_tp witness", defaults=(None,))):
-    """Outcome of an exhaustive minor check.
+    """Outcome of the total nonnegativity test.
 
     On failure, ``witness`` is (row_indices, col_indices, minor_value) for
-    one negative minor.
+    a negative minor whose own proper minors are all nonnegative.
     """
 
     __slots__ = ()
 
 
-def is_totally_positive(a: Matrix) -> TotalPositivityCertificate:
-    """Check every minor of every order for nonnegativity.
-
-    Brute force over all index subsets; refuses matrices larger than
-    ``MINOR_CHECK_MAX_DIM`` to bound the combinatorial cost.
+def _failure(a: Matrix, rows, cols) -> tuple[int, int] | None:
+    """Deleting derivations (Goodearl, Launois & Lenagan 2011): the
+    submatrix is totally nonnegative iff the final t is nonnegative and
+    each zero in it has only zeros to its left or only zeros above it.
+    Returns None, or the corner of a bottom-right block that fails.
     """
-    rows, cols = len(a), len(a[0])
-    if rows > MINOR_CHECK_MAX_DIM or cols > MINOR_CHECK_MAX_DIM:
-        raise DomainError(f"{rows}x{cols} exceeds the minor-check guard "
-                          f"of {MINOR_CHECK_MAX_DIM}")
-    for k in range(1, min(rows, cols) + 1):
-        for rs in combinations(range(rows), k):
-            for cs in combinations(range(cols), k):
-                minor = det([[a[i][j] for j in cs] for i in rs])
-                if minor < 0:
-                    return TotalPositivityCertificate(False, (rs, cs, minor))
-    return TotalPositivityCertificate(True)
+    t = [[a[i][j] for j in cols] for i in rows]
+    for r in reversed(range(len(t))):
+        for s in reversed(range(len(t[r]))):
+            p = t[r][s]
+            if p < 0:  # final, and fixed by the block from (r, s) alone
+                return r, s
+            for row in t[:r] if p else ():
+                if f := row[s] / p:
+                    row[:s] = [v - f * w for v, w in zip(row[:s], t[r])]
+    if all(v or not any(row[:j]) or not any(u[j] for u in t[:i])
+           for i, row in enumerate(t) for j, v in enumerate(row)):
+        return None
+    return 0, 0
+
+
+def is_totally_positive(a) -> TotalPositivityCertificate:
+    """Test every minor of a matrix of any shape for nonnegativity.
+
+    A failure drops each row, then each column, once if the rest still
+    fails; as submatrices of TN matrices are TN, a square witness is left.
+    """
+    a = as_matrix(a)
+    keep = [tuple(range(len(a))), tuple(range(len(a[0])))]
+    for _ in range(2):  # reversing both index orders keeps every minor
+        corner = _failure(a, *keep)
+        if corner is None:
+            return TotalPositivityCertificate(True)
+        keep = [keep[0][corner[0]:][::-1], keep[1][corner[1]:][::-1]]
+    for axis in (0, 1):
+        for k in keep[axis]:
+            trial = keep[:]
+            trial[axis] = tuple(x for x in trial[axis] if x != k)
+            if _failure(a, *trial):
+                keep = trial
+    rows, cols = keep
+    return TotalPositivityCertificate(
+        False, (rows, cols, det([[a[i][j] for j in cols] for i in rows])))

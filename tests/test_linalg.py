@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
 
@@ -158,6 +159,12 @@ def test_dominates_reflexive_on_nonnegative():
     assert dominates(m, m)
 
 
+@pytest.mark.parametrize("rows", ([[1, 2, 3], [4, 5, 6]], [[1, 2], [3, 4], [5, 6]]))
+def test_det_requires_square(rows):
+    with pytest.raises(DomainError, match="matrix must be square"):
+        det(as_matrix(rows))
+
+
 def test_solve_matches_inverse():
     rng = random.Random(8)
     a = random_nonsingular(rng, 4)
@@ -216,9 +223,130 @@ def test_tp_negative_witness():
     assert det([[F(v) for v in row] for row in ([1, 2], [3, 4])]) == value
 
 
-def test_tp_guard():
-    with pytest.raises(DomainError):
-        is_totally_positive(identity(9))
+def _brute_force_tn(a):
+    """Oracle: the determinant of every minor of every order."""
+    rows, cols = len(a), len(a[0])
+    return all(det([[a[i][j] for j in cs] for i in rs]) >= 0
+               for k in range(1, min(rows, cols) + 1)
+               for rs in combinations(range(rows), k)
+               for cs in combinations(range(cols), k))
+
+
+def _bidiagonal_product(rng, rows, cols):
+    """A totally nonnegative matrix, often singular: nonnegative lower and
+    upper bidiagonal factors, some entries zero, around a nonnegative
+    diagonal rows x cols core."""
+    def factor(n):
+        f = [[F(rng.choice((0, 1, 1, 2))) if i == j else F(0)
+              for j in range(n)] for i in range(n)]
+        for i in range(1, n):
+            at = (i, i - 1) if rng.random() < 0.5 else (i - 1, i)
+            f[at[0]][at[1]] = F(rng.choice((0, 0, 1, 3)), rng.choice((1, 2)))
+        return f
+    a = [[F(rng.choice((0, 1, 2))) if i == j else F(0) for j in range(cols)]
+         for i in range(rows)]
+    for _ in range(rng.randint(0, 3)):
+        a = mat_mul(factor(rows), a)
+    for _ in range(rng.randint(0, 3)):
+        a = mat_mul(a, factor(cols))
+    return a
+
+
+def _tn_cases(seed, count=300):
+    """Shapes 1..5 x 1..5: small-entry matrices, bidiagonal products, and
+    bidiagonal products with one entry moved."""
+    rng = random.Random(seed)
+    for case in range(count):
+        rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+        if case % 3 == 0:
+            yield [[F(rng.choice((0, 0, 1, 1, 2, 3, -1))) for _ in range(cols)]
+                   for _ in range(rows)]
+            continue
+        a = _bidiagonal_product(rng, rows, cols)
+        if case % 3 == 2:
+            a[rng.randrange(rows)][rng.randrange(cols)] += rng.choice(
+                (-1, 1, F(-1, 2)))
+        yield a
+
+
+TN_HAND_CASES = (
+    [[1, 0, 0], [1, 1, -1], [0, 1, 2]],  # positive leading and initial minors
+    [[1] * 3] * 3,
+    [[0] * 3] * 3,
+    [[1, 1, 0], [1, 1, 1], [0, 1, 1]],
+    [[1, 2], [3, 4]],
+    [[0, 1], [1, 0]],
+    [[-1]],
+    [[0, 1, 1, 0, 2]],
+    [[1], [0], [-1]],
+)
+
+
+def _assert_agrees_with_oracle(a):
+    cert = is_totally_positive(a)
+    assert cert.is_tp == _brute_force_tn(a), a
+    if cert.is_tp:
+        assert cert.witness is None
+        return True
+    rows, cols, value = cert.witness
+    assert len(rows) == len(cols) and value < 0
+    sub = [[F(a[i][j]) for j in cols] for i in rows]
+    assert det(sub) == value
+    # each proper minor omits a row, so it is a minor of a TN remainder
+    if len(sub) > 1:
+        assert all(_brute_force_tn(sub[:k] + sub[k + 1:])
+                   for k in range(len(sub)))
+    return False
+
+
+@pytest.mark.parametrize("a", TN_HAND_CASES)
+def test_tp_hand_cases_agree_with_minors(a):
+    _assert_agrees_with_oracle(a)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_tp_agrees_with_minors(seed):
+    cases = list(_tn_cases(seed))
+    tn = [a for a in cases if _assert_agrees_with_oracle(a)]
+    # both outcomes occur, and singular TN squares among them
+    assert 0.3 < len(tn) / len(cases) < 0.8
+    assert any(len(a) == len(a[0]) > 1 and det(a) == 0 for a in tn)
+
+
+@pytest.mark.parametrize("rows", ([], [[]], [[1, 2], [3]]))
+def test_tp_rejects_malformed_input(rows):
+    with pytest.raises(DomainError) as exc:
+        as_matrix(rows)
+    with pytest.raises(DomainError, match=str(exc.value)):
+        is_totally_positive(rows)
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+def test_degree_23_collocations_are_tp(family):
+    a = collocation_matrix(BasisSpec(family, 23), standard_nodes(23))
+    assert is_totally_positive(a) == (True, None)
+
+
+@pytest.mark.parametrize("n", range(1, 16))
+def test_change_matrices_are_tn(n):
+    """K = B^-1 M, with u = b K, is totally nonnegative for every family;
+    it is stochastic for Said-Ball and corrected DP, and literal DP at odd
+    n >= 3 breaks its row sums, hence partition of unity."""
+    nodes = standard_nodes(n)
+    b_inv = inverse(collocation_matrix(BasisSpec(BasisFamily.BERNSTEIN, n),
+                                       nodes))
+
+    def change(spec):
+        k = mat_mul(b_inv, collocation_matrix(spec, nodes))
+        assert is_totally_positive(k).is_tp
+        return [sum(row) for row in k]
+
+    for family in (BasisFamily.SAID_BALL, BasisFamily.DP):
+        assert change(BasisSpec(family, n)) == [1] * (n + 1)
+    change(BasisSpec(BasisFamily.MONOMIAL, n))
+    if n % 2 and n >= 3:
+        literal = change(BasisSpec(BasisFamily.DP, n, dp_literal_middle=True))
+        assert any(total != 1 for total in literal)
 
 
 @pytest.mark.parametrize("family", ALL_FAMILIES)
