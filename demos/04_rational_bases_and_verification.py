@@ -16,5 +16,6 @@ print(f"  monomial weights:  {[str(w) for w in result.monomial]}")
 print(f"  DP weights:        {[str(w) for w in result.dp]}")
 
 print("\nverifying the three orderings on degree-3 grids (seed 137):")
-for v in verify_orderings(ExperimentConfig(degrees=(3,))):
+verdicts, _ = verify_orderings(ExperimentConfig(degrees=(3,)))
+for v in verdicts:
     print(f"  {v.part:<22} [{v.variant:>8}] {v.pair:<42} holds={v.holds}")

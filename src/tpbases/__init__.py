@@ -21,6 +21,7 @@ _EXPORTS = {
         "eval_basis_row",
         "standard_nodes",
     ), "bases"),
+    **dict.fromkeys(("NoIntegerPoint", "cone_weights"), "cone"),
     **dict.fromkeys((
         "DomainError",
         "SearchExhaustedError",
@@ -54,7 +55,6 @@ _EXPORTS = {
         "RootEnclosure",
         "SpectralReport",
         "char_poly",
-        "float_crosscheck",
         "isolate_real_roots",
         "kron_min_spectral",
         "min_eigenvalue",

@@ -13,8 +13,11 @@ variant stays available behind ``dp_literal_middle`` for reproducing
 published tables that were evidently computed with it.
 
 ``convert_bernstein_weights`` re-expresses one polynomial in all four
-bases; the search for weights that stay positive in every basis draws
-from the generator's stream and lives with it in ``rng``.
+bases.  Weights that stay positive in every basis are searched for in
+two stages: first the generator's stream, in ``rng``, then, once the
+stream has spent its budget, the exact cone solver in ``cone``, which
+builds its own change matrices and returns only weights this conversion
+certifies.
 """
 
 from __future__ import annotations

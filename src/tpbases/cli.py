@@ -1,7 +1,8 @@
 """Command-line driver.
 
 Exit codes: 0 success, 1 verification or golden-table failure, 2 bad
-input, 3 weight-search exhaustion.
+input, 3 no weights found for some degree, neither by the stream nor by
+the exact cone solver (``verify`` still prints every verdict first).
 
 Each command imports what it runs: ``eval`` needs only the basis and
 rendering modules, so the experiment grid and the weight search's bounds
@@ -171,17 +172,17 @@ def _cmd_verify(args) -> int:
     check_search_bounds(WEIGHT_LO, WEIGHT_HI, config.max_iter)
     if "ii" in parts:
         _check_spectra(config)
-    try:
-        verdicts = verify_orderings(config, parts=parts)
-    except SearchExhaustedError as exc:
-        _emit(render_report([], exc.verdicts, args.format, config), args.out)
-        raise
+    verdicts, exhausted = verify_orderings(config, parts=parts)
     _emit(render_report([], verdicts, args.format, config), args.out)
     failures = [v for v in verdicts if v.holds is not True]
     for v in failures:
         state = "indeterminate" if v.holds is None else "FALSE"
         print(f"verdict {state}: {v.part} n={v.degree} {v.pair} "
               f"({v.variant})", file=sys.stderr)
+    for exc in exhausted:
+        print(f"error: {exc}", file=sys.stderr)
+    if exhausted:
+        return EXIT_SEARCH_EXHAUSTED
     return EXIT_VERIFICATION_FAILED if failures else EXIT_OK
 
 

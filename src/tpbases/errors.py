@@ -24,14 +24,19 @@ class SpectralAssumptionError(ArithmeticError):
 
 
 class SearchExhaustedError(RuntimeError):
-    """The randomized positive-weight search hit its iteration budget."""
+    """No all-positive weight system was found: the randomized search hit
+    its budget of ``max_iter`` weight vectors and, when ``solver`` is set
+    (the exact cone solver's ``NoIntegerPoint`` outcome), the solver
+    found no weights either."""
 
-    def __init__(self, max_iter: int, seed: int | None = None):
+    def __init__(self, max_iter: int, seed: int | None = None, solver=None):
         msg = ("no all-positive weight system found within "
                f"{max_iter} weight vectors")
         if seed is not None:
             msg += f" (seed={seed})"
+        if solver is not None:
+            msg = f"degree {solver.degree}: {msg}; {solver}"
         super().__init__(msg)
         self.max_iter = max_iter
         self.seed = seed
-        self.verdicts = []  # ordering verdicts found before the search ran out
+        self.solver = solver

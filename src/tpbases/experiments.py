@@ -5,15 +5,19 @@ value, and infinity condition number, of Kronecker-squared collocation
 matrices for degrees 3..5) and checks the three optimality properties of
 the Bernstein basis against the Said-Ball, DP and rational bases, with
 exact comparisons for dominance/conditioning and certified enclosure
-comparisons for the spectral ordering.
+comparisons for the spectral ordering.  The rational bases take their
+weights from the generator's stream and, where the stream runs dry, from
+the exact cone solver.
 """
 
 from __future__ import annotations
 
+import sys
 from collections import namedtuple
 from fractions import Fraction
 
 from .bases import BasisFamily, BasisSpec, WeightConversionResult, standard_nodes
+from .cone import NoIntegerPoint, cone_weights
 from .errors import SearchExhaustedError, SpectralAssumptionError
 from .linalg import Matrix, collocation_matrix, cond_inf, inf_norm, inverse
 from .render import fraction_str, render_enclosure, sci_notation
@@ -206,6 +210,26 @@ def run_table_1_2(config: ExperimentConfig, which=(1, 2)
     return rows, dp_variant
 
 
+def _positive_weights(n: int, config: ExperimentConfig,
+                      rng: SplitMix64) -> WeightConversionResult:
+    """Weights for degree n from the generator's stream, or, once the
+    stream has spent ``config.max_iter`` weight vectors, from the exact
+    cone solver; raises ``SearchExhaustedError`` when neither finds any.
+    Weights from the solver are announced on stderr."""
+    try:
+        return search_positive_weights(n, WEIGHT_LO, WEIGHT_HI,
+                                       seed=config.seed,
+                                       max_iter=config.max_iter, rng=rng)
+    except SearchExhaustedError:
+        found = cone_weights(n, WEIGHT_LO, WEIGHT_HI)
+    if isinstance(found, NoIntegerPoint):
+        raise SearchExhaustedError(config.max_iter, config.seed, found)
+    print(f"degree {n}: weights from the exact cone solver; the stream "
+          f"spent its {config.max_iter} weight vectors (seed={config.seed})",
+          file=sys.stderr)
+    return found
+
+
 def run_table_3_4(
     config: ExperimentConfig, which=(3, 4)
 ) -> tuple[list[TableRow], dict[int, WeightConversionResult]]:
@@ -214,15 +238,14 @@ def run_table_3_4(
 
     One deterministic generator seeded from the config is consumed
     sequentially across the degrees, so the whole grid is reproducible
-    from the seed alone.
+    from the seed alone.  A degree without weights raises
+    ``SearchExhaustedError``.
     """
     rng = SplitMix64(config.seed)
     rows: list[TableRow] = []
     weights: dict[int, WeightConversionResult] = {}
     for n in config.degrees:
-        conv = weights[n] = search_positive_weights(
-            n, WEIGHT_LO, WEIGHT_HI, seed=config.seed,
-            max_iter=config.max_iter, rng=rng)
+        conv = weights[n] = _positive_weights(n, config, rng)
         for label, family, wv in (
             ("M_T", BasisFamily.BERNSTEIN, conv.bernstein),
             ("B1_T", BasisFamily.SAID_BALL, conv.saidball),
@@ -325,14 +348,15 @@ def _pair_verdicts(n: int, variant: str, m: Matrix,
 
 def verify_orderings(
     config: ExperimentConfig, parts: tuple[str, ...] = ("i", "ii", "iii")
-) -> list[OrderingVerdict]:
+) -> tuple[list[OrderingVerdict], list[SearchExhaustedError]]:
     """Check dominance (i), spectral ordering (ii) and conditioning (iii)
     for every comparison basis against the (rational) Bernstein basis.
 
-    A weight search that exhausts its budget raises
-    ``SearchExhaustedError`` carrying the verdicts found before it.
+    Returns the verdicts and, one per degree that found no weights, the
+    search's error; such a degree has its plain verdicts only.
     """
     verdicts: list[OrderingVerdict] = []
+    exhausted: list[SearchExhaustedError] = []
     rng = SplitMix64(config.seed)
     for n in config.degrees:
         m = _grid_matrix(BasisFamily.BERNSTEIN, n)
@@ -341,12 +365,10 @@ def verify_orderings(
             ("dp vs bernstein", _grid_matrix(BasisFamily.DP, n)),
         ], parts)
         try:
-            conv = search_positive_weights(
-                n, WEIGHT_LO, WEIGHT_HI, seed=config.seed,
-                max_iter=config.max_iter, rng=rng)
+            conv = _positive_weights(n, config, rng)
         except SearchExhaustedError as exc:
-            exc.verdicts = verdicts
-            raise
+            exhausted.append(exc)
+            continue
         m = _grid_matrix(BasisFamily.BERNSTEIN, n, weights=conv.bernstein)
         verdicts += _pair_verdicts(n, "rational", m, [
             ("rational said-ball vs rational bernstein",
@@ -356,7 +378,7 @@ def verify_orderings(
             ("rational monomial vs rational bernstein",
              _grid_matrix(BasisFamily.MONOMIAL, n, weights=conv.monomial)),
         ], parts)
-    return verdicts
+    return verdicts, exhausted
 
 
 def check_goldens(rows: list[TableRow]) -> list[tuple[TableRow, str]]:

@@ -16,6 +16,13 @@ output: the masked output in bytes 0-7 and ``randint``'s reject flag in
 byte 8, so ``search_positive_weights`` finds the rejected outputs with
 ``bytes.find`` instead of a Python loop over the block.  ``next_uint64``
 and ``randint`` remain the reference semantics of the stream.
+
+``search_positive_weights`` is the first stage of the weight search and
+spends at most ``max_iter`` vectors; when it raises
+``SearchExhaustedError``, the experiment grid asks the exact cone solver
+(``cone.cone_weights``) instead.  The generator's state after an
+exhausted search is that of drawing every one of its vectors, so a later
+degree's search goes on from the same point of the stream.
 """
 
 from __future__ import annotations

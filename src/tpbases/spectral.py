@@ -38,9 +38,7 @@ first enclosure is taken instead, and ``refine_root`` bisects it.
 A^T A over Z, does the same on it and separates the result from zero;
 ``spectral_report`` is those two calls, and ``refine_report`` tightens a
 report in place.  Every reported value is a rational interval guaranteed
-to contain the true eigenvalue.  A floating-point cross-check
-(``float_crosscheck``) exists purely as an independent sanity oracle and
-never feeds the certified path.
+to contain the true eigenvalue; no floating point enters this module.
 """
 
 from __future__ import annotations
@@ -54,7 +52,6 @@ from .errors import DomainError, SpectralAssumptionError
 from .linalg import Matrix
 
 CHAR_POLY_MAX_DIM = 24
-FLOAT_CHECK_MAX_DIM = 64
 DEFAULT_TOL = Fraction(1, 10**30)
 
 # --- dense univariate polynomials, coefficients ascending by degree ---
@@ -523,24 +520,6 @@ def kron_min_spectral(rep_a: SpectralReport, rep_b: SpectralReport) -> SpectralR
     )
 
 
-def float_crosscheck(a: Matrix) -> tuple[float, float]:
-    """Binary64 (lambda_min, sigma_min) via a standard dense solver.
-
-    Sanity oracle only; the certified enclosures never depend on it.
-    """
-    import numpy as np
-
-    n = len(a)
-    if n > FLOAT_CHECK_MAX_DIM:
-        raise DomainError(
-            f"dimension {n} exceeds the cross-check guard of {FLOAT_CHECK_MAX_DIM}"
-        )
-    m = np.array([[float(v) for v in row] for row in a])
-    lam = min(np.linalg.eigvals(m).real)
-    sig = min(np.linalg.svd(m, compute_uv=False))
-    return float(lam), float(sig)
-
-
 def sqrt_enclosure(low: Fraction, high: Fraction) -> tuple[Fraction, Fraction]:
     """Outward-rounded rational enclosure of [sqrt(low), sqrt(high)].
 
@@ -572,7 +551,6 @@ __all__ = [
     "char_poly",
     "check_char_poly_dim",
     "count_roots",
-    "float_crosscheck",
     "isolate_real_roots",
     "kron_min_spectral",
     "min_eigenvalue",

@@ -6,6 +6,7 @@ import time
 from fractions import Fraction as F
 
 import pytest
+from float_oracle import float_crosscheck
 
 from tpbases.bases import (
     BasisFamily,
@@ -32,7 +33,6 @@ from tpbases.linalg import (
 )
 from tpbases.render import render_enclosure
 from tpbases.spectral import (
-    float_crosscheck,
     kron_min_spectral,
     spectral_report,
     sqrt_enclosure,
@@ -106,7 +106,8 @@ def test_criterion_3_rational_orderings(seed):
 
 
 def test_criterion_4_dominance():
-    verdicts = verify_orderings(ExperimentConfig(), parts=("i",))
+    verdicts, exhausted = verify_orderings(ExperimentConfig(), parts=("i",))
+    assert exhausted == []
     dominance = [v for v in verdicts
                  if "said-ball" in v.pair or "dp" in v.pair]
     ok = len(dominance) == 12 and all(v.holds is True for v in dominance)

@@ -58,7 +58,9 @@ def test_bad_usage_exit_code(capsys):
 
 
 def test_search_exhaustion_exit_code(capsys):
-    assert main(["tables", "--which", "3", "--degrees", "5",
+    # degree 9 is the first without weights in [1, 1000]: the stream runs
+    # out and the exact solver proves that none exist
+    assert main(["tables", "--which", "3", "--degrees", "9",
                  "--seed", "1", "--max-iter", "10"]) == 3
     captured = capsys.readouterr()
     assert "weight vectors" in captured.err
@@ -66,19 +68,51 @@ def test_search_exhaustion_exit_code(capsys):
 
 def test_verify_prints_the_verdicts_found_before_exhaustion(capsys,
                                                             monkeypatch):
-    # degree 3 finds its weights; degree 6 exhausts the budget after its
-    # plain rows, which need no weights
+    # degree 3 finds its weights; degree 9 finds none after its plain
+    # rows, which need no weights
     monkeypatch.delenv("TPB_SEED", raising=False)
-    assert main(["verify", "--part", "i", "--degrees", "3,6",
+    assert main(["verify", "--part", "i", "--degrees", "3,9",
                  "--max-iter", "20000", "--format", "csv"]) == 3
     captured = capsys.readouterr()
     lines = captured.out.splitlines()
     assert lines[0] == "table,degree,family,metric,value"
     assert [line.split(",")[1:3] for line in lines[1:]] == (
-        [["3", "plain"]] * 2 + [["3", "rational"]] * 3 + [["6", "plain"]] * 2)
+        [["3", "plain"]] * 2 + [["3", "rational"]] * 3 + [["9", "plain"]] * 2)
     assert all(line.endswith(",true") for line in lines[1:])
-    assert captured.err == ("error: no all-positive weight system found "
-                            "within 20000 weight vectors (seed=137)\n")
+    assert captured.err == (
+        "error: degree 9: no all-positive weight system found within 20000 "
+        "weight vectors (seed=137); the exact solver proved that no integer "
+        "point of [1, 1000]^10 lies in the cone (branch-and-bound nodes: 1)\n")
+
+
+def test_verify_keeps_going_after_a_degree_without_weights(capsys,
+                                                          monkeypatch):
+    # every degree runs and every verdict is printed; stderr lists each
+    # degree without weights, and the exit code is 3
+    monkeypatch.delenv("TPB_SEED", raising=False)
+    assert main(["verify", "--part", "iii", "--degrees", "9,3,10",
+                 "--max-iter", "10", "--format", "csv"]) == 3
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()[1:]
+    assert [line.split(",")[1:3] for line in lines] == (
+        [["9", "plain"]] * 2 + [["3", "plain"]] * 2 + [["3", "rational"]] * 3
+        + [["10", "plain"]] * 2)
+    errors = captured.err.splitlines()
+    assert [line.split(":")[:2] for line in errors if line.startswith("error")] \
+        == [["error", " degree 9"], ["error", " degree 10"]]
+
+
+def test_solver_weights_are_announced_on_stderr(capsys):
+    # the stream spends its 1000 vectors at degree 6; the exact solver
+    # supplies certified weights and the job succeeds
+    assert main(["tables", "--which", "4", "--degrees", "6", "--seed", "9",
+                 "--max-iter", "1000", "--format", "csv"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ("degree 6: weights from the exact cone solver; "
+                            "the stream spent its 1000 weight vectors "
+                            "(seed=9)\n")
+    assert "weights,6,bernstein,weights,295/1 298/1 305/1 325/1 380/1 " \
+        "539/1 1000/1" in captured.out
 
 
 def test_env_seed_fallback(monkeypatch, tmp_path):
@@ -192,8 +226,8 @@ def test_tables_skip_the_rows_they_do_not_print(monkeypatch, capsys):
 
 
 def test_report_imports_no_numpy():
-    # numpy adds about 13 MiB to the resident set; only the float
-    # cross-check may import it, and only when called
+    # numpy adds about 13 MiB to the resident set, and it is a test-only
+    # dependency: no command may import it
     code = ("import sys\n"
             "from tpbases.cli import main\n"
             "code = main(['tables', '--which', '3,4', '--degrees', '3',"

@@ -139,7 +139,8 @@ def test_verify_reflexive_case():
 def test_verify_all_parts_hold(n):
     # at n <= 2 Said-Ball and DP equal Bernstein, which takes the
     # equal-matrix shortcut of the spectral ordering
-    verdicts = verify_orderings(ExperimentConfig(degrees=(n,)))
+    verdicts, exhausted = verify_orderings(ExperimentConfig(degrees=(n,)))
+    assert exhausted == []
     assert len(verdicts) == 15  # 5 pairs x 3 parts
     assert all(v.holds is True for v in verdicts)
 
