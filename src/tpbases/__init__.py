@@ -14,14 +14,13 @@ _EXPORTS = {
     **dict.fromkeys((
         "BasisFamily",
         "BasisSpec",
-        "WeightConversionResult",
         "binomial",
-        "convert_bernstein_weights",
         "eval_basis_function",
         "eval_basis_row",
         "standard_nodes",
     ), "bases"),
-    **dict.fromkeys(("NoIntegerPoint", "cone_weights"), "cone"),
+    **dict.fromkeys(("NoIntegerPoint", "WeightConversionResult",
+                     "cone_weights", "convert_bernstein_weights"), "cone"),
     **dict.fromkeys((
         "DomainError",
         "SearchExhaustedError",

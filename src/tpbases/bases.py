@@ -12,12 +12,9 @@ partition of unity and matches the even-degree pattern; the printed
 variant stays available behind ``dp_literal_middle`` for reproducing
 published tables that were evidently computed with it.
 
-``convert_bernstein_weights`` re-expresses one polynomial in all four
-bases.  Weights that stay positive in every basis are searched for in
-two stages: first the generator's stream, in ``rng``, then, once the
-stream has spent its budget, the exact cone solver in ``cone``, which
-builds its own change matrices and returns only weights this conversion
-certifies.
+This module only evaluates bases.  The change matrices between them at
+the standard nodes, and the conversion of Bernstein weights into the
+other bases, are in ``cone``.
 """
 
 from __future__ import annotations
@@ -150,44 +147,3 @@ def standard_nodes(n: int) -> list[Fraction]:
         raise DomainError(f"degree must be >= 1, got {n}")
     return [Fraction(i, n + 2) for i in range(1, n + 2)]
 
-
-class WeightConversionResult(namedtuple(
-        "WeightConversionResult", "bernstein saidball monomial dp all_positive")):
-    """Weight vectors representing one polynomial in four bases.
-
-    sum_j bernstein[j] b_j(x) = sum_j saidball[j] s_j(x)
-                              = sum_j monomial[j] x^j
-                              = sum_j dp[j] c_j(x)
-    hold exactly as polynomial identities; each vector is a tuple of
-    Fractions, and ``all_positive`` says whether every entry is > 0.
-    """
-
-    __slots__ = ()
-
-
-def _solve_collocation(spec: BasisSpec, values: list[Fraction]) -> tuple[Fraction, ...]:
-    from .linalg import collocation_matrix, solve
-
-    nodes = standard_nodes(spec.degree)
-    return tuple(solve(collocation_matrix(spec, nodes), values))
-
-
-def convert_bernstein_weights(n: int, w) -> WeightConversionResult:
-    """Re-express p(x) = sum_j w_j b_j^n(x) in the Said-Ball, monomial and
-    DP bases by exact collocation solves at the standard nodes."""
-    w = tuple(Fraction(v) for v in w)
-    if len(w) != n + 1:
-        raise DomainError(f"need {n + 1} weights, got {len(w)}")
-    if any(v <= 0 for v in w):
-        raise DomainError("all Bernstein weights must be strictly positive")
-
-    bern = BasisSpec(BasisFamily.BERNSTEIN, n)
-    values = [
-        sum(wj * bj for wj, bj in zip(w, eval_basis_row(bern, t)))
-        for t in standard_nodes(n)
-    ]
-    saidball = _solve_collocation(BasisSpec(BasisFamily.SAID_BALL, n), values)
-    monomial = _solve_collocation(BasisSpec(BasisFamily.MONOMIAL, n), values)
-    dp = _solve_collocation(BasisSpec(BasisFamily.DP, n), values)
-    all_positive = all(v > 0 for vec in (w, saidball, monomial, dp) for v in vec)
-    return WeightConversionResult(w, saidball, monomial, dp, all_positive)

@@ -1,13 +1,14 @@
-"""Exact stage of the weight search: an integer point of the positive cone.
+"""Change of basis by K_f, and the exact stage of the weight search.
 
-The Bernstein weights w of p(x) = sum_j w_j b_j^n(x) stay positive in
-every basis exactly when w > 0 and K_f w > 0 for f = Said-Ball, monomial
-and DP, where K_f = M_f^-1 B is the exact change matrix between the
-collocation matrices at the standard nodes.  Scaling a row of K_f to
-coprime integers a gives an integer a.w for integer w, so an integer
-weight vector keeps the row positive exactly when a.w >= 1.  These
-rounded constraints, with the box [lo, hi]^(n+1), cut out the polytope
-the integer weights must lie in.
+In the Said-Ball, monomial and DP bases, p(x) = sum_j w_j b_j^n(x) has
+the weights K_f w, where K_f = M_f^-1 B is the exact change matrix
+between the collocation matrices at the standard nodes
+(``change_matrices``, built once per degree).  So the Bernstein weights
+w stay positive in every basis exactly when w > 0 and K_f w > 0.
+Scaling a row of K_f to coprime integers a gives an integer a.w for
+integer w, so an integer weight vector keeps the row positive exactly
+when a.w >= 1.  These rounded constraints, with the box [lo, hi]^(n+1),
+cut out the polytope the integer weights must lie in.
 
 ``cone_weights`` searches it by branch-and-bound.  Each node solves the
 max-margin LP over its box: the largest cube [w - t, w + t]^(n+1), t
@@ -31,21 +32,58 @@ every basis for a small e > 0.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import namedtuple
 from fractions import Fraction
 
-from .bases import (
-    BasisFamily,
-    BasisSpec,
-    WeightConversionResult,
-    convert_bernstein_weights,
-    standard_nodes,
-)
+from .bases import BasisFamily, BasisSpec, standard_nodes
 from .errors import DomainError
-from .linalg import collocation_matrix, inverse, mat_mul
+from .linalg import Matrix, collocation_matrix, solve
 
 NODE_BUDGET = 1000
+
+
+@functools.cache
+def change_matrices(n: int) -> tuple[Matrix, Matrix, Matrix]:
+    """K_f = M_f^-1 B for f = Said-Ball, monomial and DP, in that order:
+    the exact change matrices between the degree-n collocation matrices
+    at the standard nodes, each from one elimination of [M_f | B].
+    Cached per degree; callers must not modify them."""
+    nodes = standard_nodes(n)
+    bern = collocation_matrix(BasisSpec(BasisFamily.BERNSTEIN, n), nodes)
+    return tuple(solve(collocation_matrix(BasisSpec(family, n), nodes), bern)
+                 for family in (BasisFamily.SAID_BALL, BasisFamily.MONOMIAL,
+                                BasisFamily.DP))
+
+
+class WeightConversionResult(namedtuple(
+        "WeightConversionResult", "bernstein saidball monomial dp all_positive")):
+    """Weight vectors representing one polynomial in four bases.
+
+    sum_j bernstein[j] b_j(x) = sum_j saidball[j] s_j(x)
+                              = sum_j monomial[j] x^j
+                              = sum_j dp[j] c_j(x)
+    hold exactly as polynomial identities; each vector is a tuple of
+    Fractions, and ``all_positive`` says whether every entry is > 0.
+    """
+
+    __slots__ = ()
+
+
+def convert_bernstein_weights(n: int, w) -> WeightConversionResult:
+    """Re-express p(x) = sum_j w_j b_j^n(x) in the Said-Ball, monomial and
+    DP bases as the exact products K_f w."""
+    w = tuple(Fraction(v) for v in w)
+    if len(w) != n + 1:
+        raise DomainError(f"need {n + 1} weights, got {len(w)}")
+    if any(v <= 0 for v in w):
+        raise DomainError("all Bernstein weights must be strictly positive")
+    saidball, monomial, dp = (
+        tuple(sum(k * v for k, v in zip(row, w)) for row in kf)
+        for kf in change_matrices(n))
+    all_positive = all(v > 0 for vec in (w, saidball, monomial, dp) for v in vec)
+    return WeightConversionResult(w, saidball, monomial, dp, all_positive)
 
 
 class NoIntegerPoint(namedtuple("NoIntegerPoint",
@@ -70,13 +108,9 @@ def _cone_rows(n: int, lo: int) -> list[tuple[int, ...]]:
     """The coprime integer rows a with a.w >= 1 for the integer weights
     w >= lo, one per distinct row of the three K_f; rows that w >= lo
     already satisfies are left out."""
-    nodes = standard_nodes(n)
-    bern = collocation_matrix(BasisSpec(BasisFamily.BERNSTEIN, n), nodes)
     rows = []
-    for family in (BasisFamily.SAID_BALL, BasisFamily.MONOMIAL,
-                   BasisFamily.DP):
-        m = collocation_matrix(BasisSpec(family, n), nodes)
-        for row in mat_mul(inverse(m), bern):
+    for kf in change_matrices(n):
+        for row in kf:
             s = math.lcm(*(v.denominator for v in row))
             a = [v.numerator * (s // v.denominator) for v in row]
             g = math.gcd(*a)

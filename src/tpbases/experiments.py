@@ -16,8 +16,8 @@ import sys
 from collections import namedtuple
 from fractions import Fraction
 
-from .bases import BasisFamily, BasisSpec, WeightConversionResult, standard_nodes
-from .cone import NoIntegerPoint, cone_weights
+from .bases import BasisFamily, BasisSpec, standard_nodes
+from .cone import NoIntegerPoint, WeightConversionResult, cone_weights
 from .errors import SearchExhaustedError, SpectralAssumptionError
 from .linalg import Matrix, collocation_matrix, cond_inf, inf_norm, inverse
 from .render import fraction_str, render_enclosure, sci_notation

@@ -103,11 +103,11 @@ def inverse(a: Matrix) -> Matrix:
     return _eliminate(a, identity(len(a)))[1]
 
 
-def solve(a: Matrix, b) -> list[Fraction]:
-    """Solve A x = b exactly."""
+def solve(a: Matrix, b: Matrix) -> Matrix:
+    """Solve A X = B exactly: A^-1 B, for a matrix right-hand side B."""
     if len(b) != len(a):
-        raise DomainError("right-hand side has wrong length")
-    return [row[0] for row in _eliminate(a, [[Fraction(v)] for v in b])[1]]
+        raise DomainError("right-hand side has wrong number of rows")
+    return _eliminate(a, as_matrix(b))[1]
 
 
 def cond_inf(a: Matrix) -> Fraction:

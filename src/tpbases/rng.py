@@ -20,7 +20,8 @@ and ``randint`` remain the reference semantics of the stream.
 ``search_positive_weights`` is the first stage of the weight search and
 spends at most ``max_iter`` vectors; when it raises
 ``SearchExhaustedError``, the experiment grid asks the exact cone solver
-(``cone.cone_weights``) instead.  The generator's state after an
+(``cone.cone_weights``) instead.  Both stages certify weights with
+``cone.convert_bernstein_weights``.  The generator's state after an
 exhausted search is that of drawing every one of its vectors, so a later
 degree's search goes on from the same point of the stream.
 """
@@ -29,7 +30,7 @@ from __future__ import annotations
 
 import functools
 
-from .bases import WeightConversionResult, convert_bernstein_weights
+from .cone import WeightConversionResult, convert_bernstein_weights
 from .errors import DomainError, SearchExhaustedError
 
 _MASK64 = (1 << 64) - 1

@@ -1,16 +1,96 @@
-"""The exact cone stage of the weight search, against scipy's LP and MILP
-solvers as float oracles and against the exact conversion."""
+"""The change matrices K_f and the conversion K_f w, against one
+collocation solve per basis, and the exact cone stage of the weight
+search, against scipy's LP and MILP solvers as float oracles and against
+the exact conversion."""
 
 from fractions import Fraction as F
 
 import pytest
 
-from tpbases import cone
-from tpbases.bases import binomial, convert_bernstein_weights
-from tpbases.cone import NoIntegerPoint, _cone_rows, _max_margin, cone_weights
+from tpbases import cone, linalg
+from tpbases.bases import (
+    BasisFamily,
+    BasisSpec,
+    binomial,
+    eval_basis_row,
+    standard_nodes,
+)
+from tpbases.cone import (
+    NoIntegerPoint,
+    WeightConversionResult,
+    _cone_rows,
+    _max_margin,
+    cone_weights,
+    convert_bernstein_weights,
+)
 from tpbases.errors import DomainError
 from tpbases.experiments import ExperimentConfig, run_table_3_4
+from tpbases.linalg import collocation_matrix, solve
 from tpbases.rng import SplitMix64
+
+
+def _solved_conversion(n, w):
+    """The conversion by one collocation solve per basis: p = sum_j w_j b_j
+    interpolated at the standard nodes.  It builds no K_f, so it checks
+    both the conversion and the cone rows independently of them."""
+    w = tuple(F(v) for v in w)
+    nodes = standard_nodes(n)
+    bern = BasisSpec(BasisFamily.BERNSTEIN, n)
+    values = [[sum(x * y for x, y in zip(w, eval_basis_row(bern, t)))]
+              for t in nodes]
+    vectors = [w] + [
+        tuple(row[0] for row in solve(
+            collocation_matrix(BasisSpec(family, n), nodes), values))
+        for family in (BasisFamily.SAID_BALL, BasisFamily.MONOMIAL,
+                       BasisFamily.DP)]
+    return WeightConversionResult(
+        *vectors, all(v > 0 for vec in vectors for v in vec))
+
+
+def _interior_point(n, e):
+    """The Bernstein coefficients of p = 1 + e(x + ... + x^n),
+    1 + e sum_{k=1..j} C(j,k)/C(n,k); positive in every basis for a small
+    e > 0."""
+    return [1 + e * sum(F(binomial(j, k), binomial(n, k))
+                        for k in range(1, j + 1)) for j in range(n + 1)]
+
+
+def _conversion_cases(n):
+    rng = SplitMix64(1000 + n)
+    for _ in range(8):
+        yield [rng.randint(1, 1000) for _ in range(n + 1)]
+    yield [F(rng.randint(1, 1000), rng.randint(1, 97)) for _ in range(n + 1)]
+    yield _interior_point(n, F(1, 10**4))
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_conversion_equals_one_collocation_solve_per_basis(n):
+    outcomes = set()
+    for w in _conversion_cases(n):
+        conv = convert_bernstein_weights(n, w)
+        assert conv == _solved_conversion(n, w)
+        assert all(type(v) is F for vec in conv[:4] for v in vec)
+        outcomes.add(conv.all_positive)
+    assert outcomes == {True, False}
+
+
+def test_a_second_conversion_at_the_same_degree_runs_no_elimination(
+        monkeypatch):
+    calls = []
+    eliminate = linalg._eliminate
+
+    def counted(*args):
+        calls.append(args)
+        return eliminate(*args)
+
+    monkeypatch.setattr(linalg, "_eliminate", counted)
+    cone.change_matrices.cache_clear()
+    first = convert_bernstein_weights(5, [7, 3, 9, 2, 8, 4])
+    assert len(calls) == 3  # one per basis
+    second = convert_bernstein_weights(5, [1, 2, 4, 8, 16, 32])
+    assert len(calls) == 3
+    assert (first, second) == (_solved_conversion(5, first.bernstein),
+                               _solved_conversion(5, second.bernstein))
 
 
 def _milp_finds_point(rows, n, lo, hi):
@@ -42,7 +122,7 @@ def test_rows_decide_positivity_of_integer_weights(n, spread):
     seen = set()
     for _ in range(60):
         w = [int(v) + rng.randint(-spread, spread) for v in centre]
-        expected = convert_bernstein_weights(n, w).all_positive
+        expected = _solved_conversion(n, w).all_positive
         assert all(_dot(a, w) >= 1 for a in rows) == expected
         seen.add(expected)
     assert seen == {True, False}
@@ -117,12 +197,7 @@ def test_node_budget_makes_the_outcome_indeterminate(monkeypatch):
 
 @pytest.mark.parametrize("n", range(9, 13))
 def test_the_real_cone_is_not_empty(n):
-    # p = 1 + e(x + ... + x^n): Bernstein coefficients
-    # 1 + e sum_{k=1..j} C(j,k)/C(n,k); positive in every basis
-    e = F(1, 10**4)
-    w = [1 + e * sum(F(binomial(j, k), binomial(n, k))
-                     for k in range(1, j + 1)) for j in range(n + 1)]
-    assert convert_bernstein_weights(n, w).all_positive
+    assert convert_bernstein_weights(n, _interior_point(n, F(1, 10**4))).all_positive
 
 
 @pytest.mark.parametrize("seed", [9, 42, 82, 126, 137, 139, 193])

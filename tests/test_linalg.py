@@ -168,9 +168,15 @@ def test_det_requires_square(rows):
 def test_solve_matches_inverse():
     rng = random.Random(8)
     a = random_nonsingular(rng, 4)
-    b = [F(rng.randint(-5, 5)) for _ in range(4)]
+    b = [[F(rng.randint(-5, 5)) for _ in range(3)] for _ in range(4)]
     x = solve(a, b)
-    assert [sum(av * xv for av, xv in zip(row, x)) for row in a] == b
+    assert mat_mul(a, x) == b
+    assert x == mat_mul(inverse(a), b)
+
+
+def test_solve_rejects_a_right_hand_side_of_the_wrong_height():
+    with pytest.raises(DomainError, match="wrong number of rows"):
+        solve(identity(3), [[F(1)], [F(2)]])
 
 
 # --- randomized identity suites ---
@@ -398,13 +404,13 @@ def test_elimination_matches_sympy(a):
     sympy = pytest.importorskip("sympy")
     oracle = _sympy_matrix(sympy, a)
     n = len(a)
-    b = [F(3 * i - 7, i + 2) for i in range(n)]
+    b = [[F(3 * i - 7, i + 2)] for i in range(n)]
     d = oracle.det()
     assert det(a) == F(int(d.p), int(d.q))
     if d != 0:
         assert inverse(a) == _from_sympy(oracle.inv())
-        x = oracle.LUsolve(_sympy_matrix(sympy, [[v] for v in b]))
-        assert solve(a, b) == [row[0] for row in _from_sympy(x)]
+        x = oracle.LUsolve(_sympy_matrix(sympy, b))
+        assert solve(a, b) == _from_sympy(x)
         return
     step = next(k for k in range(n) if oracle[:, :k + 1].rank() <= k)
     for call in (lambda: inverse(a), lambda: solve(a, b)):
