@@ -39,10 +39,8 @@ _EXPORTS = {
     ), "experiments"),
     **dict.fromkeys((
         "TotalPositivityCertificate",
-        "abs_matrix",
         "collocation_matrix",
         "cond_inf",
-        "dominates",
         "inf_norm",
         "inverse",
         "is_totally_positive",

@@ -5,8 +5,9 @@ input, 3 no weights found for some degree, neither by the stream nor by
 the exact cone solver (``verify`` still prints every verdict first).
 
 Each command imports what it runs: ``eval`` needs only the basis and
-rendering modules, so the experiment grid and the weight search's bounds
-check are imported inside the ``tables`` and ``verify`` paths.
+rendering modules, so the experiment grid is imported inside the
+``tables`` and ``verify`` paths, and the weight search's bounds check only
+where weights are searched.
 """
 
 from __future__ import annotations
@@ -128,7 +129,6 @@ def _cmd_tables(args) -> int:
         run_table_1_2,
         run_table_3_4,
     )
-    from .rng import check_search_bounds
 
     which = set(_parse_int_list(args.which))
     if not which or not which.issubset({1, 2, 3, 4}):
@@ -136,6 +136,8 @@ def _cmd_tables(args) -> int:
     config = _make_config(args)
     # fail before any table is computed
     if which & {3, 4}:
+        from .rng import check_search_bounds
+
         check_search_bounds(WEIGHT_LO, WEIGHT_HI, config.max_iter)
     if which & {1, 3}:
         _check_spectra(config)

@@ -1,5 +1,10 @@
 """Exception types shared across the package."""
 
+# the weight search's default budget of weight vectors, the ``max_iter``
+# that ``SearchExhaustedError`` reports; here so that the experiment grid's
+# config can default to it without loading the search
+DEFAULT_SEARCH_MAX_ITER = 10**6
+
 
 class DomainError(ValueError):
     """An argument is outside the domain an operation is defined on."""

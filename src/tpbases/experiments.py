@@ -7,7 +7,9 @@ the Bernstein basis against the Said-Ball, DP and rational bases, with
 exact comparisons for dominance/conditioning and certified enclosure
 comparisons for the spectral ordering.  The rational bases take their
 weights from the generator's stream and, where the stream runs dry, from
-the exact cone solver.
+the exact cone solver; ``rng`` and ``cone`` are imported on those paths
+only, so the plain tables load neither (annotations naming their types are
+never evaluated).
 """
 
 from __future__ import annotations
@@ -17,11 +19,13 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .bases import BasisFamily, BasisSpec, standard_nodes
-from .cone import NoIntegerPoint, WeightConversionResult, cone_weights
-from .errors import SearchExhaustedError, SpectralAssumptionError
+from .errors import (
+    DEFAULT_SEARCH_MAX_ITER,
+    SearchExhaustedError,
+    SpectralAssumptionError,
+)
 from .linalg import Matrix, collocation_matrix, cond_inf, inf_norm, inverse
 from .render import fraction_str, render_enclosure, sci_notation
-from .rng import DEFAULT_SEARCH_MAX_ITER, SplitMix64, search_positive_weights
 from .spectral import (
     DEFAULT_TOL,
     RootEnclosure,
@@ -216,6 +220,9 @@ def _positive_weights(n: int, config: ExperimentConfig,
     stream has spent ``config.max_iter`` weight vectors, from the exact
     cone solver; raises ``SearchExhaustedError`` when neither finds any.
     Weights from the solver are announced on stderr."""
+    from .cone import NoIntegerPoint, cone_weights
+    from .rng import search_positive_weights
+
     try:
         return search_positive_weights(n, WEIGHT_LO, WEIGHT_HI,
                                        seed=config.seed,
@@ -241,6 +248,8 @@ def run_table_3_4(
     from the seed alone.  A degree without weights raises
     ``SearchExhaustedError``.
     """
+    from .rng import SplitMix64
+
     rng = SplitMix64(config.seed)
     rows: list[TableRow] = []
     weights: dict[int, WeightConversionResult] = {}
@@ -355,6 +364,8 @@ def verify_orderings(
     Returns the verdicts and, one per degree that found no weights, the
     search's error; such a degree has its plain verdicts only.
     """
+    from .rng import SplitMix64
+
     verdicts: list[OrderingVerdict] = []
     exhausted: list[SearchExhaustedError] = []
     rng = SplitMix64(config.seed)

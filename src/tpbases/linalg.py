@@ -66,74 +66,86 @@ def inf_norm(a: Matrix) -> Fraction:
     return max(sum(abs(v) for v in row) for row in a)
 
 
-def _eliminate(a: Matrix, rhs: Matrix) -> tuple[Fraction, Matrix]:
-    """Fraction-free Gauss-Jordan on [A | rhs]; returns det(A), A^-1 rhs.
-
-    Each row is scaled to integers by the lcm of its denominators, which
-    keeps the solution; ``scale`` is their product, negated per row swap.
-    Every division (p*v - f*w) // prev is exact by Sylvester's identity
-    (Bareiss, Math. Comp. 22, 1968), and the left block ends as p_last*I.
-    """
+def _integer_rows(a: Matrix, rhs: Matrix) -> tuple[list[list[int]], list[int]]:
+    """The rows of [A | rhs], each scaled to integers by the lcm of its
+    denominators (which keeps the solution of A X = rhs), and the scales."""
     n = len(a)
     if any(len(row) != n for row in a):
         raise DomainError("matrix must be square")
-    m, scale, prev = [], 1, 1
+    rows, scales = [], []
     for row, aug in zip(a, rhs):
         s = math.lcm(*(v.denominator for v in row + aug))
-        m.append([v.numerator * (s // v.denominator) for v in row + aug])
-        scale *= s
+        rows.append([v.numerator * (s // v.denominator) for v in row + aug])
+        scales.append(s)
+    return rows, scales
+
+
+def _eliminate(m: list[list[int]], n: int) -> tuple[int, int]:
+    """Fraction-free Gauss-Jordan on the integer rows m of [A | rhs], A
+    n x n, in place; returns the last pivot p and the sign of the row
+    permutation, and leaves m = [p I | p A^-1 rhs].
+
+    Every division (p*v - f*w) // prev is exact by Sylvester's identity
+    (Bareiss, Math. Comp. 22, 1968), and det(m[:, :n]) = sign * p.
+    """
+    sign, prev = 1, 1
     for col in range(n):
         pivot = next((r for r in range(col, n) if m[r][col]), None)
         if pivot is None:
             raise SingularMatrixError(col)
         if pivot != col:
-            m[col], m[pivot], scale = m[pivot], m[col], -scale
+            m[col], m[pivot], sign = m[pivot], m[col], -sign
         p = m[col][col]
         for r in range(n):
             if r != col:
                 f = m[r][col]
                 m[r] = [(p * v - f * w) // prev for v, w in zip(m[r], m[col])]
         prev = p
-    return Fraction(prev, scale), [[Fraction(v, prev) for v in row[n:]]
-                                   for row in m]
+    return prev, sign
+
+
+def _solution(a: Matrix, rhs: Matrix) -> Matrix:
+    """A^-1 rhs, exact."""
+    n = len(a)
+    m, _ = _integer_rows(a, rhs)
+    p, _ = _eliminate(m, n)
+    return [[Fraction(v, p) for v in row[n:]] for row in m]
 
 
 def inverse(a: Matrix) -> Matrix:
     """Exact inverse of a square nonsingular matrix."""
-    return _eliminate(a, identity(len(a)))[1]
+    return _solution(a, identity(len(a)))
 
 
 def solve(a: Matrix, b: Matrix) -> Matrix:
     """Solve A X = B exactly: A^-1 B, for a matrix right-hand side B."""
     if len(b) != len(a):
         raise DomainError("right-hand side has wrong number of rows")
-    return _eliminate(a, as_matrix(b))[1]
+    return _solution(a, as_matrix(b))
 
 
 def cond_inf(a: Matrix) -> Fraction:
-    """Infinity-norm condition number ||A|| * ||A^-1||, exact."""
-    return inf_norm(a) * inf_norm(inverse(a))
+    """Infinity-norm condition number ||A|| * ||A^-1||, exact.
 
-
-def abs_matrix(a: Matrix) -> Matrix:
-    return [[abs(v) for v in row] for row in a]
-
-
-def dominates(a: Matrix, c: Matrix) -> bool:
-    """True iff |c_ij| <= a_ij entrywise."""
-    if len(a) != len(c) or len(a[0]) != len(c[0]):
-        raise DomainError("dimension mismatch")
-    return all(
-        abs(cv) <= av for arow, crow in zip(a, c) for av, cv in zip(arow, crow)
-    )
+    Both norms are read off the integer rows of [A | I]: row i of A is its
+    scaled row over the scale, and A^-1 is the final right block over the
+    last pivot, so no rational inverse is formed.
+    """
+    n = len(a)
+    m, scales = _integer_rows(a, identity(n))
+    norm = max(Fraction(sum(map(abs, row[:n])), s) for row, s in zip(m, scales))
+    p, _ = _eliminate(m, n)
+    return norm * Fraction(max(sum(map(abs, row[n:])) for row in m), abs(p))
 
 
 def det(a: Matrix) -> Fraction:
     """Exact determinant, from the same elimination as ``inverse``."""
+    m, scales = _integer_rows(a, [[]] * len(a))
     try:
-        return _eliminate(a, [[]] * len(a))[0]
+        p, sign = _eliminate(m, len(a))
     except SingularMatrixError:
         return Fraction(0)
+    return Fraction(sign * p, math.prod(scales))
 
 
 class TotalPositivityCertificate(namedtuple(

@@ -31,7 +31,7 @@ from __future__ import annotations
 import functools
 
 from .cone import WeightConversionResult, convert_bernstein_weights
-from .errors import DomainError, SearchExhaustedError
+from .errors import DEFAULT_SEARCH_MAX_ITER, DomainError, SearchExhaustedError
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -41,7 +41,6 @@ _MIX2 = 0x94D049BB133111EB
 BLOCK = 1024
 LANE_BYTES = 16
 FLAG_BYTE = 8  # the reject flag's byte within a lane: 1 rejected, 0 kept
-DEFAULT_SEARCH_MAX_ITER = 10**6
 
 
 @functools.cache

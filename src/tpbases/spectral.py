@@ -2,10 +2,14 @@
 
 The pipeline is fully exact and has one path, and its core works on
 Python integers only.  ``char_poly`` clears the denominators of A once,
-N = d A, runs the Faddeev-LeVerrier recurrence on the integer matrix N
-(each division by k is exact, because the characteristic polynomial of
-an integer matrix has integer coefficients) and scales back, so it
-returns the monic rational coefficients of det(lambda I - A).
+N = d A, and runs Le Verrier's trace method on the integer matrix N: it
+forms N^2, ..., N^h, h = ceil(n/2), reads each power sum tr(N^k), k <= n,
+as one inner product of two of them, and recovers the coefficients by
+Newton's identities, whose division by k is exact because the
+characteristic polynomial of an integer matrix has integer coefficients.
+That is half the matrix products of the Faddeev-LeVerrier recurrence, on
+smaller entries.  Scaling back gives the monic rational coefficients of
+det(lambda I - A).
 
 Roots are isolated with a Sturm chain over Z: p, p', then the negated
 primitive parts of |lc|^(delta+1)-scaled pseudo-remainders.  Every
@@ -34,11 +38,12 @@ and never passes it, and one chain evaluation plus a rational-root test of
 the midpoints on the way certify the cell.  When a certificate fails (a
 root <= 0, a midpoint that is a root, two roots in one cell) the walk's
 first enclosure is taken instead, and ``refine_root`` bisects it.
-``min_singular_value`` forms
-A^T A over Z, does the same on it and separates the result from zero;
-``spectral_report`` is those two calls, and ``refine_report`` tightens a
-report in place.  Every reported value is a rational interval guaranteed
-to contain the true eigenvalue; no floating point enters this module.
+``min_singular_value`` forms N^T N = d^2 A^T A over Z, hands it to
+``char_poly`` with its scale d^2, does the same on the polynomial and
+separates the result from zero; ``spectral_report`` is those two calls,
+and ``refine_report`` tightens a report in place.  Every reported value
+is a rational interval guaranteed to contain the true eigenvalue; no
+floating point enters this module.
 """
 
 from __future__ import annotations
@@ -331,30 +336,38 @@ def check_char_poly_dim(n: int) -> None:
         )
 
 
-def char_poly(a: Matrix) -> Poly:
-    """det(lambda I - A) via the Faddeev-LeVerrier recurrence, exact.
+def char_poly(a: Matrix, scale: int = 1) -> Poly:
+    """det(lambda I - A / scale), exact, by Le Verrier's trace method.
 
-    The recurrence runs on the integer matrix N = d A, d the lcm of the
-    entry denominators; coefficient k of det(lambda I - N) is d^(n-k) times
-    that of det(lambda I - A).
+    The method runs on the integer matrix N = d A, d the lcm of the entry
+    denominators; coefficient k of det(lambda I - N) is (d scale)^(n-k)
+    times that of det(lambda I - A / scale).  Its coefficients c_k (c_0 = 1)
+    follow from the power sums p_k = tr(N^k) by Newton's identities,
+    k c_k = -(c_(k-1) p_1 + ... + c_0 p_k), and the division by k is exact,
+    because c_k is an integer.  Only N^2, ..., N^h, h = ceil(n/2), are
+    formed: p_k = tr(N^i N^j) with i = floor(k/2) and j = ceil(k/2) is one
+    inner product of N^i, read by rows, with N^j, read by columns.
     """
     n = len(a)
     if any(len(row) != n for row in a):
         raise DomainError("matrix must be square")
     check_char_poly_dim(n)
     d, big = _cleared(a)
-    coeffs = [0] * (n + 1)
-    coeffs[n] = 1
-    m = [row[:] for row in big]
+    cols = list(zip(*big))
+    powers = [big]
+    for _ in range((n + 1) // 2 - 1):
+        powers.append([[sum(map(operator.mul, row, col)) for col in cols]
+                       for row in powers[-1]])
+    by_rows = [[v for row in m for v in row] for m in powers]
+    by_cols = [[v for col in zip(*m) for v in col] for m in powers]
+    sums = [sum(big[i][i] for i in range(n))]
+    sums += [sum(map(operator.mul, by_rows[k // 2 - 1], by_cols[k - k // 2 - 1]))
+             for k in range(2, n + 1)]
+    coeffs = [1]
     for k in range(1, n + 1):
-        c = -sum(m[i][i] for i in range(n)) // k
-        coeffs[n - k] = c
-        if k < n:
-            for i in range(n):
-                m[i][i] += c
-            cols = list(zip(*m))
-            m = [[sum(map(operator.mul, row, col)) for col in cols] for row in big]
-    return [Fraction(c, d ** (n - k)) for k, c in enumerate(coeffs)]
+        coeffs.append(-sum(map(operator.mul, coeffs, reversed(sums[:k]))) // k)
+    d *= scale
+    return [Fraction(c, d ** k) for k, c in reversed(list(enumerate(coeffs)))]
 
 
 class SpectralReport(namedtuple(
@@ -419,13 +432,18 @@ def _newton_smallest(
     if _sign_variations(chain, high) != v_left - 1:
         return None  # another root <= high
     # the midpoints on the way; by the rational root theorem a root a/b in
-    # lowest terms has b | lc(q) and a | q(0)
+    # lowest terms has b | lc(q) and a | q(0).  The power of 2 in b never
+    # falls from one level to the next, so once b holds more factors of 2
+    # than lc(q), no midpoint from there on is a root.
     den = bound.denominator * zero
+    too_even = (q[-1] & -q[-1]) * 2
     for shift in range(levels, 0, -1):
         i = ((prev >> shift) * 2 + 1) << (shift - 1)
         num = bound.numerator * (i - zero)
         g = math.gcd(num, den)
         a, b = num // g, den // g
+        if b % too_even == 0:
+            break
         if (q[-1] % b == 0 and (not a or q[0] % a == 0)
                 and _sign_at(q, Fraction(a, b)) == 0):
             return None
@@ -442,16 +460,16 @@ def _separated_from_zero(enc: RootEnclosure) -> RootEnclosure | None:
     return enc if enc.low > 0 else None
 
 
-def min_eigenvalue(a: Matrix, tol: Fraction = DEFAULT_TOL) -> RootEnclosure:
-    """Enclosure of the smallest (real) eigenvalue, refined to width <= tol.
+def _smallest_root(p: Poly, tol: Fraction) -> RootEnclosure:
+    """Enclosure of the smallest root of the characteristic polynomial p,
+    refined to width <= tol.
 
-    Errors unless the characteristic polynomial has as many distinct real
-    roots, V(-inf) - V(+inf), as its squarefree part q has degree, and then
-    unless tol > 0.  The Newton path needs one chain evaluation; the
-    fallback is the first enclosure of the walk of (-B, B], which starts
-    from the same counts.
+    Errors unless p has as many distinct real roots, V(-inf) - V(+inf), as
+    its squarefree part q has degree, and then unless tol > 0.  The Newton
+    path needs one chain evaluation; the fallback is the first enclosure
+    of the walk of (-B, B], which starts from the same counts.
     """
-    q, chain = _squarefree_chain(char_poly(a))
+    q, chain = _squarefree_chain(p)
     v_left, v_right = _variations_at_infinity(chain)
     if v_left == v_right or v_left - v_right != len(q) - 1:
         raise SpectralAssumptionError(
@@ -469,19 +487,28 @@ def min_eigenvalue(a: Matrix, tol: Fraction = DEFAULT_TOL) -> RootEnclosure:
     return enc
 
 
-def _gram(a: Matrix) -> Matrix:
-    """A^T A, formed over Z: A^T A = N^T N / d^2 for N = d A."""
+def min_eigenvalue(a: Matrix, tol: Fraction = DEFAULT_TOL) -> RootEnclosure:
+    """Enclosure of the smallest (real) eigenvalue, refined to width <= tol.
+
+    Errors unless every eigenvalue is real, and then unless tol > 0.
+    """
+    return _smallest_root(char_poly(a), tol)
+
+
+def _gram(a: Matrix) -> tuple[int, list[list[int]]]:
+    """d^2 and N^T N for N = d A, d the lcm of the entry denominators of A:
+    A^T A = N^T N / d^2, formed over Z."""
     d, big = _cleared(a)
     cols = list(zip(*big))
-    d2 = d * d
-    return [[Fraction(sum(map(operator.mul, ci, cj)), d2) for cj in cols]
-            for ci in cols]
+    return d * d, [[sum(map(operator.mul, ci, cj)) for cj in cols]
+                   for ci in cols]
 
 
 def min_singular_value(a: Matrix, tol: Fraction = DEFAULT_TOL) -> RootEnclosure:
     """Enclosure of the smallest eigenvalue of A^T A (i.e. sigma_min^2),
     refined to width <= tol and separated from zero."""
-    smallest = _separated_from_zero(min_eigenvalue(_gram(a), tol))
+    scale, gram = _gram(a)
+    smallest = _separated_from_zero(_smallest_root(char_poly(gram, scale), tol))
     if smallest is None:
         raise SpectralAssumptionError(
             "smallest singular value cannot be separated from zero; "

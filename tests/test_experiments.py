@@ -2,6 +2,7 @@ import json
 from fractions import Fraction as F
 
 import pytest
+from exact_oracle import abs_matrix, dominates
 
 from tpbases.bases import BasisFamily, BasisSpec, eval_basis_row, standard_nodes
 from tpbases.experiments import (
@@ -17,13 +18,7 @@ from tpbases.experiments import (
     run_table_3_4,
     verify_orderings,
 )
-from tpbases.linalg import (
-    abs_matrix,
-    collocation_matrix,
-    dominates,
-    inverse,
-    kronecker,
-)
+from tpbases.linalg import collocation_matrix, inverse, kronecker
 from tpbases.render import sci_notation
 from tpbases.spectral import spectral_report
 

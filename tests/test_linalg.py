@@ -3,16 +3,15 @@ from fractions import Fraction as F
 from itertools import combinations
 
 import pytest
+from exact_oracle import abs_matrix, dominates
 
 from tpbases.bases import BasisFamily, BasisSpec, standard_nodes
 from tpbases.errors import DomainError, SingularMatrixError
 from tpbases.linalg import (
-    abs_matrix,
     as_matrix,
     collocation_matrix,
     cond_inf,
     det,
-    dominates,
     identity,
     inf_norm,
     inverse,
@@ -139,6 +138,32 @@ def test_cond_inf_examples():
     assert cond_inf(identity(4)) == 1
     assert cond_inf(as_matrix([[F(2, 3), F(1, 3)], [F(1, 3), F(2, 3)]])) == 3
 
+
+def test_cond_inf_equals_the_norms_of_the_matrix_and_its_inverse():
+    # zero leading entries force row swaps in the elimination, and mixed
+    # denominators give every row its own scale
+    rng = random.Random(12)
+    swaps = [as_matrix([[0, 1], [1, 0]]),
+             as_matrix([[0, F(2, 3), 1], [F(-1, 5), 0, 2], [3, F(1, 7), 0]])]
+    for n in range(2, 7):
+        m = random_nonsingular(rng, n)
+        m[0][0] = F(0)
+        if det(m):
+            swaps += [m, m[::-1]]
+        swaps.append(random_nonsingular(rng, n))
+    for m in swaps:
+        assert cond_inf(m) == inf_norm(m) * inf_norm(inverse(m))
+
+
+def test_cond_inf_rejects_singular_input():
+    with pytest.raises(SingularMatrixError) as exc:
+        cond_inf(as_matrix([[1, 2, 3], [2, 4, 6], [0, 1, F(1, 2)]]))
+    assert exc.value.step == 2  # after the row swap at step 1
+    with pytest.raises(SingularMatrixError):
+        cond_inf(as_matrix([[0, 0], [0, 0]]))
+
+
+# the dominance oracle that tests/test_experiments.py checks verdicts with
 
 def test_abs_matrix():
     assert abs_matrix(as_matrix([[-1, 2], [3, -4]])) == as_matrix([[1, 2], [3, 4]])

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from exact_oracle import faddeev_leverrier
 from float_oracle import float_crosscheck
 
 from tpbases.bases import BasisFamily, BasisSpec, standard_nodes
@@ -10,6 +11,7 @@ from tpbases.linalg import (
     as_matrix,
     collocation_matrix,
     identity,
+    inverse,
     kronecker,
     mat_mul,
     transpose,
@@ -64,8 +66,8 @@ def test_char_poly_guard():
 
 def _random_rational_matrix(rng, n):
     # mixed denominators; the diagonal leans negative, so most traces (and
-    # many Faddeev-LeVerrier traces after it) are negative and the exact
-    # integer division by k sees negative dividends
+    # many power sums after them) are negative and the exact integer
+    # division by k sees negative dividends
     dens = (1, 2, 3, 5, 7, 12)
     return [[F(rng.randint(-9, 3 if i == j else 9), rng.choice(dens))
              for j in range(n)] for i in range(n)]
@@ -75,12 +77,84 @@ def _random_rational_matrix(rng, n):
 def test_char_poly_matches_sympy(seed):
     sympy = pytest.importorskip("sympy")
     rng = random.Random(seed)
-    n = 1 + seed % 7
+    n = 1 + seed % 8
     m = _random_rational_matrix(rng, n)
     oracle = sympy.Matrix([[sympy.Rational(v.numerator, v.denominator)
                             for v in row] for row in m]).charpoly()
     expected = [F(int(c.p), int(c.q)) for c in reversed(oracle.all_coeffs())]
     assert char_poly(as_matrix(m)) == expected
+
+
+@pytest.mark.parametrize("n", range(1, 16))
+def test_char_poly_equals_faddeev_leverrier_on_the_collocation_matrices(n):
+    for family in BasisFamily:
+        a = collocation_matrix(BasisSpec(family, n), standard_nodes(n))
+        assert char_poly(a) == faddeev_leverrier(a)
+        scale, gram = _gram(a)
+        assert char_poly(gram, scale) == \
+            faddeev_leverrier(mat_mul(transpose(a), a))
+
+
+@pytest.mark.parametrize("family", [BasisFamily.BERNSTEIN, BasisFamily.DP])
+def test_char_poly_equals_faddeev_leverrier_at_the_guard(family):
+    n = CHAR_POLY_MAX_DIM - 1
+    a = collocation_matrix(BasisSpec(family, n), standard_nodes(n))
+    assert char_poly(a) == faddeev_leverrier(a)
+    scale, gram = _gram(a)
+    assert char_poly(gram, scale) == faddeev_leverrier(mat_mul(transpose(a), a))
+
+
+def test_char_poly_matches_faddeev_leverrier_on_random_matrices():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def matrices(draw):
+        """An n x n integer or rational matrix, n = 1..10: dense, singular
+        (one row a multiple of another), with a negative trace, or
+        nilpotent (Jordan blocks of eigenvalue 0 under a unit
+        lower-triangular similarity)."""
+        n = draw(st.integers(1, 10))
+        nums = draw(st.lists(st.integers(-40, 40), min_size=n * n,
+                             max_size=n * n))
+        dens = draw(st.one_of(st.just([1] * n * n),
+                              st.lists(st.integers(1, 24), min_size=n * n,
+                                       max_size=n * n)))
+        m = [[F(nums[i * n + j], dens[i * n + j]) for j in range(n)]
+             for i in range(n)]
+        kind = draw(st.sampled_from(
+            ("dense", "singular", "negative trace", "nilpotent")))
+        if kind == "singular":
+            i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+            c = F(draw(st.integers(-5, 5)), 3) if i != j else 0
+            m[i] = [c * v for v in m[j]]
+        elif kind == "negative trace":
+            for i in range(n):
+                m[i][i] = -abs(m[i][i]) - 1
+        elif kind == "nilpotent":
+            cuts = draw(st.sets(st.integers(1, n - 1))) if n > 1 else set()
+            jordan = [[F(int(j == i + 1 and j not in cuts)) for j in range(n)]
+                      for i in range(n)]
+            lower = [[F(1) if i == j else F(draw(st.integers(-3, 3)))
+                      if j < i else F(0) for j in range(n)] for i in range(n)]
+            m = mat_mul(mat_mul(lower, jordan), inverse(lower))
+        return kind, m
+
+    @hypothesis.settings(derandomize=True, database=None, max_examples=100,
+                         deadline=None)
+    @hypothesis.given(matrices(), st.integers(1, 12))
+    def check(case, scale):
+        kind, m = case
+        expected = faddeev_leverrier(m)
+        assert char_poly(m) == expected
+        assert char_poly(m, scale) == faddeev_leverrier(
+            [[v / scale for v in row] for row in m])
+        if kind == "nilpotent":
+            assert expected == [0] * len(m) + [1]
+        if kind == "singular":
+            assert expected[0] == 0
+
+    check()
 
 
 # --- root isolation ---
@@ -643,6 +717,10 @@ def test_integer_gram_matrix_equals_the_fraction_product():
     shapes = [(n, n) for n in range(1, 9)] + [(3, 5), (5, 2), (1, 4)]
     for rows, cols in shapes * 3:
         a = _mixed_rational_matrix(rng, rows, cols)
-        assert _gram(a) == mat_mul(transpose(a), a)
+        scale, gram = _gram(a)
+        assert [[F(v, scale) for v in row] for row in gram] == \
+            mat_mul(transpose(a), a)
     for m in _plain_collocation_matrices(range(1, 12)):
-        assert _gram(m) == mat_mul(transpose(m), m)
+        scale, gram = _gram(m)
+        assert [[F(v, scale) for v in row] for row in gram] == \
+            mat_mul(transpose(m), m)
