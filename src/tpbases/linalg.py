@@ -33,17 +33,6 @@ def identity(n: int) -> Matrix:
     return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
 
 
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    if len(a[0]) != len(b):
-        raise DomainError("inner dimensions do not match")
-    bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
-
-
-def transpose(a: Matrix) -> Matrix:
-    return [list(col) for col in zip(*a)]
-
-
 def collocation_matrix(spec: BasisSpec, nodes) -> Matrix:
     """Matrix (u_j(t_i)) of basis values at an increasing node sequence."""
     nodes = [Fraction(t) for t in nodes]

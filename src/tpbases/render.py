@@ -7,6 +7,7 @@ rendered strings are deterministic functions of the rational inputs.
 
 from __future__ import annotations
 
+import math
 from decimal import Context, Decimal, ROUND_HALF_EVEN
 from fractions import Fraction
 
@@ -27,6 +28,29 @@ def sci_notation(value: Fraction, sig_digits: int) -> str:
     return f"{mantissa}e{int(exp):+03d}"
 
 
+def sqrt_enclosure(low: Fraction, high: Fraction) -> tuple[Fraction, Fraction]:
+    """Outward-rounded rational enclosure of [sqrt(low), sqrt(high)].
+
+    Rounds to max(40, floor(-log10(high))) decimal places, so the bound
+    on sqrt(high) keeps at least 19 significant digits however small high
+    is.
+    """
+    if low < 0:
+        raise DomainError("cannot take the square root of a negative bound")
+    if low > high:
+        raise DomainError(f"inverted bounds: low {low} > high {high}")
+    digits = 40
+    if high > 0:
+        digits = max(digits, len(str(high.denominator // high.numerator)) - 1)
+    scale = 10**digits
+    lo_n = math.isqrt(low.numerator * scale * scale // low.denominator)
+    hi_scaled = high.numerator * scale * scale
+    hi_n = math.isqrt(hi_scaled // high.denominator)
+    if hi_n * hi_n * high.denominator < hi_scaled:
+        hi_n += 1
+    return Fraction(lo_n, scale), Fraction(hi_n, scale)
+
+
 def render_enclosure(enc, sig_digits: int, sqrt: bool = False) -> str | None:
     """Render an enclosure (its ``low`` and ``high``) as one decimal
     string, or None when the interval is still too wide to round
@@ -37,8 +61,6 @@ def render_enclosure(enc, sig_digits: int, sqrt: bool = False) -> str | None:
     """
     low, high = enc.low, enc.high
     if sqrt:
-        from .spectral import sqrt_enclosure
-
         low, high = sqrt_enclosure(low, high)
     s_low = sci_notation(low, sig_digits)
     s_high = sci_notation(high, sig_digits)

@@ -31,19 +31,25 @@ evaluation, yields the enclosures of the roots in ascending order:
 the first.
 
 ``min_eigenvalue`` requires V(-inf) - V(+inf) = deg q, i.e. an all-real
-spectrum.  The answer is the cell that bisecting (-B, B) along the
-smallest root ends on.  Bisection is path-independent, so Newton finds
-that cell: from 0 it climbs towards the smallest root on the cell grid
-and never passes it, and one chain evaluation plus a rational-root test of
-the midpoints on the way certify the cell.  When a certificate fails (a
-root <= 0, a midpoint that is a root, two roots in one cell) the walk's
+spectrum.  Every root is then positive exactly when q(0) != 0 and V(0),
+read off the chain's constant terms, equals V(-inf): this one count
+decides positivity everywhere in the module.  The answer is the cell that
+bisecting (-B, B) along the smallest root ends on.  Bisection is
+path-independent, so when every root is positive Newton finds that cell:
+from 0 it climbs towards the smallest root on the cell grid and never
+passes it, and one chain evaluation plus a rational-root test of the
+midpoints on the way certify the cell.  Otherwise, or when a certificate
+fails (a midpoint that is a root, two roots in one cell), the walk's
 first enclosure is taken instead, and ``refine_root`` bisects it.
 ``min_singular_value`` forms N^T N = d^2 A^T A over Z, hands it to
-``char_poly`` with its scale d^2, does the same on the polynomial and
-separates the result from zero; ``spectral_report`` is those two calls,
-and ``refine_report`` tightens a report in place.  Every reported value
-is a rational interval guaranteed to contain the true eigenvalue; no
-floating point enters this module.
+``char_poly`` with its scale d^2 and does the same on the polynomial; it
+raises unless the count certifies every root positive, and only then
+refines until the enclosure is separated from zero.  ``spectral_report``
+keeps A's count as ``all_eigs_real_positive``, ``refine_report`` tightens
+a report in place, and ``kron_min_spectral`` multiplies the enclosures of
+two reports whose counts certify positive spectra, reading a low end
+below 0 as 0.  Every reported value is a rational interval guaranteed to
+contain the true eigenvalue; no floating point enters this module.
 """
 
 from __future__ import annotations
@@ -390,25 +396,23 @@ def refine_report(rep: SpectralReport, tol: Fraction) -> SpectralReport:
 
 
 def _newton_smallest(
-    q: list[int], chain: list[list[int]], v_left: int, tol: Fraction
+    q: list[int], chain: list[list[int]], v_left: int, bound: Fraction,
+    tol: Fraction
 ) -> RootEnclosure | None:
     """The enclosure that refining the walk's first one to ``tol`` returns,
-    for a real-rooted q with V(-inf) = v_left, found by Newton and
-    certified; None when a certificate fails.
+    for a q with only positive roots, V(-inf) = v_left and Cauchy bound B,
+    found by Newton and certified; None when a certificate fails.
 
     The walk and ``refine_root`` bisect (-B, B), so they end on the level-L
     cell holding the smallest root, L the smallest level with
     2B / 2^L <= tol, as long as no midpoint on the way is a root and no
-    other root shares the cell.  When every root is positive, Newton from 0
+    other root shares the cell.  As every root is positive, Newton from 0
     climbs towards the smallest root and never passes it; each step is
     rounded down to the grid, and a step shorter than one cell becomes one
     cell.  The climb takes at most L steps, as many as bisection would, so
     a cluster of roots, which Newton nears only linearly, costs at most L
     Horner passes before the walk takes over.
     """
-    if q[0] == 0 or _variations(_sign(p[0]) for p in chain) != v_left:
-        return None  # a root <= 0
-    bound = cauchy_bound(q)
     levels = _levels(2 * bound, tol)
     if levels == 0:
         return None
@@ -450,24 +454,18 @@ def _newton_smallest(
     return RootEnclosure(low, high, tuple(q))
 
 
-def _separated_from_zero(enc: RootEnclosure) -> RootEnclosure | None:
-    """``enc`` refined until its low end is positive, or None when its root
-    is not positive."""
-    if enc.low <= 0 and enc.polynomial[0] == 0:
-        return None  # zero is the root: no refinement can separate it
-    while enc.low <= 0 < enc.high:
-        enc = refine_root(enc, enc.width / 4)
-    return enc if enc.low > 0 else None
-
-
-def _smallest_root(p: Poly, tol: Fraction) -> RootEnclosure:
+def _smallest_root(p: Poly, tol: Fraction) -> tuple[RootEnclosure, bool]:
     """Enclosure of the smallest root of the characteristic polynomial p,
-    refined to width <= tol.
+    refined to width <= tol, and whether every root of p is positive.
 
     Errors unless p has as many distinct real roots, V(-inf) - V(+inf), as
-    its squarefree part q has degree, and then unless tol > 0.  The Newton
-    path needs one chain evaluation; the fallback is the first enclosure
-    of the walk of (-B, B], which starts from the same counts.
+    its squarefree part q has degree, and then unless tol > 0.  Every root
+    is positive exactly when 0 is not a root and none lies in (-inf, 0],
+    i.e. q(0) != 0 and V(0), read off the chain's constant terms, equals
+    V(-inf).  Only then does Newton run, at the cost of one chain
+    evaluation; otherwise, or when a certificate fails, the answer is the
+    first enclosure of the walk of (-B, B], which starts from the same
+    counts.
     """
     q, chain = _squarefree_chain(p)
     v_left, v_right = _variations_at_infinity(chain)
@@ -479,12 +477,13 @@ def _smallest_root(p: Poly, tol: Fraction) -> RootEnclosure:
     tol = Fraction(tol)
     if tol <= 0:
         raise DomainError(f"tolerance must be positive, got {tol}")
-    enc = _newton_smallest(q, chain, v_left, tol)
+    positive = q[0] != 0 and _variations(_sign(c[0]) for c in chain) == v_left
+    bound = cauchy_bound(q)
+    enc = _newton_smallest(q, chain, v_left, bound, tol) if positive else None
     if enc is None:
-        bound = cauchy_bound(q)
         first = next(_walk(q, chain, -bound, v_left, bound, v_right))
         enc = refine_root(first, tol)
-    return enc
+    return enc, positive
 
 
 def min_eigenvalue(a: Matrix, tol: Fraction = DEFAULT_TOL) -> RootEnclosure:
@@ -492,7 +491,7 @@ def min_eigenvalue(a: Matrix, tol: Fraction = DEFAULT_TOL) -> RootEnclosure:
 
     Errors unless every eigenvalue is real, and then unless tol > 0.
     """
-    return _smallest_root(char_poly(a), tol)
+    return _smallest_root(char_poly(a), tol)[0]
 
 
 def _gram(a: Matrix) -> tuple[int, list[list[int]]]:
@@ -508,26 +507,26 @@ def min_singular_value(a: Matrix, tol: Fraction = DEFAULT_TOL) -> RootEnclosure:
     """Enclosure of the smallest eigenvalue of A^T A (i.e. sigma_min^2),
     refined to width <= tol and separated from zero."""
     scale, gram = _gram(a)
-    smallest = _separated_from_zero(_smallest_root(char_poly(gram, scale), tol))
-    if smallest is None:
+    smallest, positive = _smallest_root(char_poly(gram, scale), tol)
+    if not positive:
         raise SpectralAssumptionError(
             "smallest singular value cannot be separated from zero; "
             "the matrix may be singular"
         )
+    # the root is positive, so refinement lifts the low end above 0
+    while smallest.low <= 0:
+        smallest = refine_root(smallest, smallest.width / 4)
     return smallest
 
 
 def spectral_report(a: Matrix, tol: Fraction = DEFAULT_TOL) -> SpectralReport:
-    lam = min_eigenvalue(a, tol)
-    # min_eigenvalue has certified the whole spectrum real, so it is
-    # positive exactly when its smallest eigenvalue is
-    positive = _separated_from_zero(lam) is not None
+    lam, positive = _smallest_root(char_poly(a), tol)
     return SpectralReport(lam, min_singular_value(a, tol), positive)
 
 
 def _interval_product(x: RootEnclosure, y: RootEnclosure) -> RootEnclosure:
-    # valid for intervals with positive endpoints only
-    return RootEnclosure(x.low * y.low, x.high * y.high, None)
+    # both values are certified positive, so a low end below 0 counts as 0
+    return RootEnclosure(max(x.low, 0) * max(y.low, 0), x.high * y.high, None)
 
 
 def kron_min_spectral(rep_a: SpectralReport, rep_b: SpectralReport) -> SpectralReport:
@@ -547,29 +546,6 @@ def kron_min_spectral(rep_a: SpectralReport, rep_b: SpectralReport) -> SpectralR
     )
 
 
-def sqrt_enclosure(low: Fraction, high: Fraction) -> tuple[Fraction, Fraction]:
-    """Outward-rounded rational enclosure of [sqrt(low), sqrt(high)].
-
-    Rounds to max(40, floor(-log10(high))) decimal places, so the bound
-    on sqrt(high) keeps at least 19 significant digits however small high
-    is.
-    """
-    if low < 0:
-        raise DomainError("cannot take the square root of a negative bound")
-    if low > high:
-        raise DomainError(f"inverted bounds: low {low} > high {high}")
-    digits = 40
-    if high > 0:
-        digits = max(digits, len(str(high.denominator // high.numerator)) - 1)
-    scale = 10**digits
-    lo_n = math.isqrt(low.numerator * scale * scale // low.denominator)
-    hi_scaled = high.numerator * scale * scale
-    hi_n = math.isqrt(hi_scaled // high.denominator)
-    if hi_n * hi_n * high.denominator < hi_scaled:
-        hi_n += 1
-    return Fraction(lo_n, scale), Fraction(hi_n, scale)
-
-
 __all__ = [
     "CHAR_POLY_MAX_DIM",
     "DEFAULT_TOL",
@@ -585,6 +561,5 @@ __all__ = [
     "refine_report",
     "refine_root",
     "spectral_report",
-    "sqrt_enclosure",
     "sturm_chain",
 ]

@@ -1,6 +1,7 @@
 """Exact reference routines that the package is checked against
-(test-only): the Faddeev-LeVerrier characteristic polynomial, and entrywise
-absolute values and dominance of rational matrices."""
+(test-only): the Faddeev-LeVerrier characteristic polynomial, products and
+transposes of rational matrices, and entrywise absolute values and
+dominance."""
 
 import math
 import operator
@@ -29,6 +30,17 @@ def faddeev_leverrier(a) -> list[Fraction]:
             cols = list(zip(*m))
             m = [[sum(map(operator.mul, row, col)) for col in cols] for row in big]
     return [Fraction(c, d ** (n - k)) for k, c in enumerate(coeffs)]
+
+
+def mat_mul(a, b):
+    if len(a[0]) != len(b):
+        raise DomainError("inner dimensions do not match")
+    bt = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+
+
+def transpose(a):
+    return [list(col) for col in zip(*a)]
 
 
 def abs_matrix(a):

@@ -31,12 +31,8 @@ from tpbases.linalg import (
     is_totally_positive,
     kronecker,
 )
-from tpbases.render import render_enclosure
-from tpbases.spectral import (
-    kron_min_spectral,
-    spectral_report,
-    sqrt_enclosure,
-)
+from tpbases.render import render_enclosure, sqrt_enclosure
+from tpbases.spectral import kron_min_spectral, spectral_report
 
 # seeds verified to complete every degree-3/4/5 weight search within the
 # default iteration budget

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 from itertools import combinations
 
 import pytest
-from exact_oracle import abs_matrix, dominates
+from exact_oracle import abs_matrix, dominates, mat_mul
 
 from tpbases.bases import BasisFamily, BasisSpec, standard_nodes
 from tpbases.errors import DomainError, SingularMatrixError
@@ -17,7 +17,6 @@ from tpbases.linalg import (
     inverse,
     is_totally_positive,
     kronecker,
-    mat_mul,
     solve,
 )
 

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from exact_oracle import faddeev_leverrier
+from exact_oracle import faddeev_leverrier, mat_mul, transpose
 from float_oracle import float_crosscheck
 
 from tpbases.bases import BasisFamily, BasisSpec, standard_nodes
@@ -13,10 +13,8 @@ from tpbases.linalg import (
     identity,
     inverse,
     kronecker,
-    mat_mul,
-    transpose,
 )
-from tpbases.render import render_enclosure
+from tpbases.render import render_enclosure, sqrt_enclosure
 from tpbases import spectral
 from tpbases.spectral import (
     CHAR_POLY_MAX_DIM,
@@ -31,7 +29,6 @@ from tpbases.spectral import (
     refine_report,
     refine_root,
     spectral_report,
-    sqrt_enclosure,
     sturm_chain,
 )
 
@@ -468,13 +465,19 @@ def _random_integer_matrices(count, seed=7):
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]],
     [[2, 0, 0, 0], [0, 2, 0, 0], [0, 0, 1, -1], [0, 0, 1, 1]],
     *_random_integer_matrices(10),
+    [[0, 0], [0, 1]],
+    [[-1, 0], [0, 2]],
+    [[1, 0], [0, 2]],
 ])
 def test_min_eigenvalue_matches_sympy_real_roots(rows):
     # every eigenvalue is real exactly when the squarefree part of the
     # characteristic polynomial has as many real roots as its degree;
-    # the oracle counts real roots with multiplicity instead
+    # the oracle counts real roots with multiplicity instead.  A real
+    # spectrum is positive exactly when its smallest eigenvalue is, and a
+    # singular matrix has no positive sigma_min^2
     sympy = pytest.importorskip("sympy")
-    real = sympy.real_roots(sympy.Matrix(rows).charpoly(sympy.Symbol("x")))
+    oracle = sympy.Matrix(rows)
+    real = sympy.real_roots(oracle.charpoly(sympy.Symbol("x")))
     if len(real) < len(rows):
         with pytest.raises(SpectralAssumptionError):
             min_eigenvalue(as_matrix(rows), TOL30)
@@ -483,6 +486,13 @@ def test_min_eigenvalue_matches_sympy_real_roots(rows):
     low = sympy.Rational(enc.low.numerator, enc.low.denominator)
     high = sympy.Rational(enc.high.numerator, enc.high.denominator)
     assert low < min(real) < high
+    if oracle.det() == 0:
+        with pytest.raises(SpectralAssumptionError):
+            min_singular_value(as_matrix(rows), TOL30)
+    else:
+        rep = spectral_report(as_matrix(rows), TOL30)
+        assert rep.all_eigs_real_positive == (min(real) > 0)
+        assert rep.sigma_min_sq.low > 0
 
 
 def test_min_singular_value_permutation():
@@ -521,8 +531,6 @@ def test_render_sqrt_of_tiny_enclosure():
 
 
 def test_sigma_enclosure_consistent_with_gram_eigenvalue():
-    from tpbases.linalg import mat_mul, transpose
-
     m = collocation_matrix(BasisSpec(BasisFamily.SAID_BALL, 3), standard_nodes(3))
     sig_sq = min_singular_value(m, TOL30)
     gram_min = min_eigenvalue(mat_mul(transpose(m), m), TOL30)
@@ -564,6 +572,27 @@ def test_kron_min_spectral_requires_positive_spectra():
     bad = SpectralReport(enc, enc, False)
     with pytest.raises(SpectralAssumptionError):
         kron_min_spectral(bad, bad)
+
+
+BERNSTEIN_3 = collocation_matrix(BasisSpec(BasisFamily.BERNSTEIN, 3),
+                                 standard_nodes(3))
+
+
+@pytest.mark.parametrize("rows, tol", [
+    ([[F(1, 2)]], F(10)),    # lambda in (-3/2, 3/2): lambda^2 = 1/4
+    (BERNSTEIN_3, F(1, 10)),
+    (BERNSTEIN_3, F(10)),
+])
+def test_kron_lifting_encloses_the_products_at_coarse_tolerances(rows, tol):
+    # a coarse enclosure of a certified positive value may reach below 0;
+    # the lifted enclosure must still hold the product of the true values,
+    # which lie inside the squares of the TOL30 enclosures
+    rep = spectral_report(rows, tol)
+    lifted = kron_min_spectral(rep, rep)
+    tight = spectral_report(rows, TOL30)
+    for enc, ref in ((lifted.lambda_min, tight.lambda_min),
+                     (lifted.sigma_min_sq, tight.sigma_min_sq)):
+        assert enc.low <= ref.low**2 and ref.high**2 <= enc.high
 
 
 def test_kron_square_equals_interval_square():
@@ -632,13 +661,17 @@ def _count_descents(monkeypatch):
 
 
 def test_min_eigenvalue_equals_the_bisection_reference(monkeypatch):
-    matrices = [a for m in _plain_collocation_matrices(range(1, 16))
-                for a in (m, mat_mul(transpose(m), m))]
+    # the count certifies every collocation matrix's spectrum positive
+    plain = list(_plain_collocation_matrices(range(1, 16)))
     descents = _count_descents(monkeypatch)
-    found = [min_eigenvalue(a) for a in matrices]
+    reports = [spectral_report(m) for m in plain]
     assert descents == []  # Newton certified every enclosure
     monkeypatch.undo()
-    assert found == [_bisection_min_eigenvalue(a) for a in matrices]
+    for m, rep in zip(plain, reports):
+        assert rep.all_eigs_real_positive and rep.sigma_min_sq.low > 0
+        assert rep.lambda_min == _bisection_min_eigenvalue(m)
+        assert rep.sigma_min_sq == \
+            _bisection_min_eigenvalue(mat_mul(transpose(m), m))
 
 
 def _diagonal(*values):
