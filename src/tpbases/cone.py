@@ -165,6 +165,12 @@ def _max_margin(rows, lo: list[int], hi: list[int]
             [l + values.get(j, 0) for j, l in enumerate(lo)])
 
 
+def check_box(lo: int, hi: int) -> None:
+    """Raise unless 1 <= lo <= hi, the weight range of both search stages."""
+    if not 1 <= lo <= hi:
+        raise DomainError(f"need 1 <= lo <= hi, got lo={lo}, hi={hi}")
+
+
 def cone_weights(n: int, lo: int, hi: int
                  ) -> WeightConversionResult | NoIntegerPoint:
     """Integer Bernstein weights in [lo, hi]^(n+1), 1 <= lo <= hi, that
@@ -173,8 +179,7 @@ def cone_weights(n: int, lo: int, hi: int
     ``NoIntegerPoint`` outcome."""
     if n < 1:
         raise DomainError(f"degree must be >= 1, got {n}")
-    if not 1 <= lo <= hi:
-        raise DomainError(f"need 1 <= lo <= hi, got lo={lo}, hi={hi}")
+    check_box(lo, hi)
     rows = _cone_rows(n, lo)
     stack = [([lo] * (n + 1), [hi] * (n + 1))]
     nodes = 0

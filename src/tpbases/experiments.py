@@ -5,7 +5,8 @@ value, and infinity condition number, of Kronecker-squared collocation
 matrices for degrees 3..5) and checks the three optimality properties of
 the Bernstein basis against the Said-Ball, DP and rational bases, with
 exact comparisons for dominance/conditioning and certified enclosure
-comparisons for the spectral ordering.  The rational bases take their
+comparisons for the spectral ordering.  ``BASES`` lists the compared
+bases, and κ∞ comes from ``cond_inf``.  The rational bases take their
 weights from the generator's stream and, where the stream runs dry, from
 the exact cone solver; ``rng`` and ``cone`` are imported on those paths
 only, so the plain tables load neither (annotations naming their types are
@@ -24,7 +25,7 @@ from .errors import (
     SearchExhaustedError,
     SpectralAssumptionError,
 )
-from .linalg import Matrix, collocation_matrix, cond_inf, inf_norm, inverse
+from .linalg import Matrix, collocation_matrix, cond_inf, inverse
 from .render import fraction_str, render_enclosure, sci_notation
 from .spectral import (
     DEFAULT_TOL,
@@ -72,11 +73,17 @@ GOLDEN_TABLE2 = {
     (5, "B2"): "6.0028e+06",
 }
 
-PLAIN_FAMILIES = (("M", BasisFamily.BERNSTEIN),
-                  ("B1", BasisFamily.SAID_BALL),
-                  ("B2", BasisFamily.DP))
-PLAIN_LABELS = tuple(lab for lab, _ in PLAIN_FAMILIES)
-RATIONAL_LABELS = ("M_T", "B1_T", "B2_T", "B3_T")
+# table label, family and WeightConversionResult field of each compared
+# basis, in table order, the reference (Bernstein) first.  The plain grid
+# takes three: the plain monomial basis is not normalized.
+BASES = (("M", BasisFamily.BERNSTEIN, "bernstein"),
+         ("B1", BasisFamily.SAID_BALL, "saidball"),
+         ("B2", BasisFamily.DP, "dp"),
+         ("B3", BasisFamily.MONOMIAL, "monomial"))
+PLAIN_BASES = BASES[:3]
+PLAIN_LABELS = tuple(lab for lab, _, _ in PLAIN_BASES)
+RATIONAL_LABELS = tuple(lab + "_T" for lab, _, _ in BASES)
+# the report's weight order, a literal so that the plain tables skip cone
 WEIGHT_NAMES = ("bernstein", "saidball", "monomial", "dp")
 
 # md layout: table -> ((quantity, (metric, column suffix) pairs),
@@ -196,7 +203,7 @@ def run_table_1_2(config: ExperimentConfig, which=(1, 2)
     rows: list[TableRow] = []
     dp_variant = DEFAULT_DP_VARIANT
     for n in config.degrees:
-        for label, family in PLAIN_FAMILIES:
+        for label, family, _ in PLAIN_BASES:
             x = _grid_matrix(family, n)
             kappa_row = None
             golden = GOLDEN_TABLE2.get((n, label))
@@ -255,13 +262,9 @@ def run_table_3_4(
     weights: dict[int, WeightConversionResult] = {}
     for n in config.degrees:
         conv = weights[n] = _positive_weights(n, config, rng)
-        for label, family, wv in (
-            ("M_T", BasisFamily.BERNSTEIN, conv.bernstein),
-            ("B1_T", BasisFamily.SAID_BALL, conv.saidball),
-            ("B2_T", BasisFamily.DP, conv.dp),
-            ("B3_T", BasisFamily.MONOMIAL, conv.monomial),
-        ):
-            x = _grid_matrix(family, n, weights=wv)
+        for label, family, field in BASES:
+            label += "_T"
+            x = _grid_matrix(family, n, weights=getattr(conv, field))
             if 4 in which:
                 rows.append(_kappa_row(4, n, label, x))
             if 3 in which and _in_table(3, label, config.full):
@@ -315,11 +318,8 @@ def _spectral_verdict(n: int, pair: str, variant: str, fac_a: SpectralReport,
 
 
 def _conditioning_verdict(n: int, pair: str, variant: str, a: Matrix,
-                          m: Matrix, inv_a: Matrix, inv_m: Matrix
-                          ) -> OrderingVerdict:
-    # kappa_inf = ||X|| ||X^-1||, squared because both factor over (x)
-    kappa_a = (inf_norm(a) * inf_norm(inv_a)) ** 2
-    kappa_m = (inf_norm(m) * inf_norm(inv_m)) ** 2
+                          m: Matrix) -> OrderingVerdict:
+    kappa_a, kappa_m = cond_inf(a) ** 2, cond_inf(m) ** 2  # as _kappa_row
     if kappa_m <= kappa_a:
         return OrderingVerdict("conditioning_ordering", n, pair, variant, True)
     return OrderingVerdict("conditioning_ordering", n, pair, variant, False,
@@ -330,19 +330,19 @@ def _pair_verdicts(n: int, variant: str, m: Matrix,
                    pairs: list[tuple[str, Matrix]],
                    parts: tuple[str, ...]) -> list[OrderingVerdict]:
     """Verdicts of ``parts`` for each (pair, a) in ``pairs`` against the
-    reference collocation matrix ``m``, pair by pair; each matrix is
-    inverted, and reported on, once."""
+    reference collocation matrix ``m``, pair by pair.  Dominance (i)
+    inverts each matrix once and the spectral ordering (ii) reports on each
+    once; conditioning (iii) reads kappa_inf off ``cond_inf``, which forms
+    no inverse."""
     verdicts: list[OrderingVerdict] = []
-    need_inverses = "i" in parts or "iii" in parts
-    if need_inverses:
+    if "i" in parts:
         inv_m = inverse(m)
     if "ii" in parts:
         rep_m = spectral_report(m, DEFAULT_TOL)
     for pair, a in pairs:
         same = a == m
-        if need_inverses:
-            inv_a = inv_m if same else inverse(a)
         if "i" in parts:
+            inv_a = inv_m if same else inverse(a)
             verdicts.append(_dominance_verdict(n, pair, variant, inv_a,
                                                inv_m))
         if "ii" in parts:
@@ -350,8 +350,7 @@ def _pair_verdicts(n: int, variant: str, m: Matrix,
             verdicts.append(_spectral_verdict(n, pair, variant, rep_a, rep_m,
                                               DEFAULT_TOL))
         if "iii" in parts:
-            verdicts.append(_conditioning_verdict(n, pair, variant, a, m,
-                                                  inv_a, inv_m))
+            verdicts.append(_conditioning_verdict(n, pair, variant, a, m))
     return verdicts
 
 
@@ -372,9 +371,8 @@ def verify_orderings(
     for n in config.degrees:
         m = _grid_matrix(BasisFamily.BERNSTEIN, n)
         verdicts += _pair_verdicts(n, "plain", m, [
-            ("said-ball vs bernstein", _grid_matrix(BasisFamily.SAID_BALL, n)),
-            ("dp vs bernstein", _grid_matrix(BasisFamily.DP, n)),
-        ], parts)
+            (f"{family.value} vs bernstein", _grid_matrix(family, n))
+            for _, family, _ in PLAIN_BASES[1:]], parts)
         try:
             conv = _positive_weights(n, config, rng)
         except SearchExhaustedError as exc:
@@ -382,13 +380,9 @@ def verify_orderings(
             continue
         m = _grid_matrix(BasisFamily.BERNSTEIN, n, weights=conv.bernstein)
         verdicts += _pair_verdicts(n, "rational", m, [
-            ("rational said-ball vs rational bernstein",
-             _grid_matrix(BasisFamily.SAID_BALL, n, weights=conv.saidball)),
-            ("rational dp vs rational bernstein",
-             _grid_matrix(BasisFamily.DP, n, weights=conv.dp)),
-            ("rational monomial vs rational bernstein",
-             _grid_matrix(BasisFamily.MONOMIAL, n, weights=conv.monomial)),
-        ], parts)
+            (f"rational {family.value} vs rational bernstein",
+             _grid_matrix(family, n, weights=getattr(conv, field)))
+            for _, family, field in BASES[1:]], parts)
     return verdicts, exhausted
 
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import functools
 
-from .cone import WeightConversionResult, convert_bernstein_weights
+from .cone import WeightConversionResult, check_box, convert_bernstein_weights
 from .errors import DEFAULT_SEARCH_MAX_ITER, DomainError, SearchExhaustedError
 
 _MASK64 = (1 << 64) - 1
@@ -197,8 +197,7 @@ def _raw_count(rejects: list[int], m: int) -> int:
 def check_search_bounds(lo: int, hi: int, max_iter: int) -> None:
     """Raise unless 1 <= lo <= hi and max_iter >= 1, the weight search's
     range and budget."""
-    if not 1 <= lo <= hi:
-        raise DomainError(f"need 1 <= lo <= hi, got lo={lo}, hi={hi}")
+    check_box(lo, hi)
     if max_iter < 1:
         raise DomainError(f"max_iter must be >= 1, got {max_iter}")
 

@@ -460,12 +460,12 @@ def _smallest_root(p: Poly, tol: Fraction) -> tuple[RootEnclosure, bool]:
 
     Errors unless p has as many distinct real roots, V(-inf) - V(+inf), as
     its squarefree part q has degree, and then unless tol > 0.  Every root
-    is positive exactly when 0 is not a root and none lies in (-inf, 0],
-    i.e. q(0) != 0 and V(0), read off the chain's constant terms, equals
-    V(-inf).  Only then does Newton run, at the cost of one chain
-    evaluation; otherwise, or when a certificate fails, the answer is the
-    first enclosure of the walk of (-B, B], which starts from the same
-    counts.
+    is positive exactly when V(0), read off the chain's constant terms,
+    equals V(-inf): a root at 0 gives V(0) = V(0+) < V(-inf) if simple and,
+    as every chain element vanishes there, V(0) = 0 < V(-inf) if multiple.
+    Newton runs only then, for one chain evaluation; otherwise, or when a
+    certificate fails, the answer is the first enclosure of the walk of
+    (-B, B], which starts from the same counts.
     """
     q, chain = _squarefree_chain(p)
     v_left, v_right = _variations_at_infinity(chain)
@@ -477,7 +477,7 @@ def _smallest_root(p: Poly, tol: Fraction) -> tuple[RootEnclosure, bool]:
     tol = Fraction(tol)
     if tol <= 0:
         raise DomainError(f"tolerance must be positive, got {tol}")
-    positive = q[0] != 0 and _variations(_sign(c[0]) for c in chain) == v_left
+    positive = _variations(_sign(c[0]) for c in chain) == v_left
     bound = cauchy_bound(q)
     enc = _newton_smallest(q, chain, v_left, bound, tol) if positive else None
     if enc is None:

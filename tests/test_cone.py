@@ -26,7 +26,7 @@ from tpbases.cone import (
 from tpbases.errors import DomainError
 from tpbases.experiments import ExperimentConfig, run_table_3_4
 from tpbases.linalg import collocation_matrix, solve
-from tpbases.rng import SplitMix64
+from tpbases.rng import SplitMix64, search_positive_weights
 
 
 def _solved_conversion(n, w):
@@ -185,6 +185,16 @@ def test_root_margin_matches_scipy_lp(n):
 def test_solver_rejects_a_bad_degree_or_box(n, lo, hi):
     with pytest.raises(DomainError):
         cone_weights(n, lo, hi)
+
+
+@pytest.mark.parametrize("lo,hi", [(0, 10), (5, 4)])
+def test_both_search_stages_reject_a_bad_box_alike(lo, hi):
+    message = f"need 1 <= lo <= hi, got lo={lo}, hi={hi}"
+    with pytest.raises(DomainError) as stream:
+        search_positive_weights(3, lo, hi, seed=1)
+    with pytest.raises(DomainError) as solver:
+        cone_weights(3, lo, hi)
+    assert str(stream.value) == str(solver.value) == message
 
 
 def test_node_budget_makes_the_outcome_indeterminate(monkeypatch):

@@ -9,6 +9,7 @@ from tpbases.experiments import (
     ExperimentConfig,
     GOLDEN_TABLE1,
     GOLDEN_TABLE2,
+    _conditioning_verdict,
     _dominance_verdict,
     _kron_report_rendered,
     _spectral_verdict,
@@ -18,7 +19,7 @@ from tpbases.experiments import (
     run_table_3_4,
     verify_orderings,
 )
-from tpbases.linalg import collocation_matrix, inverse, kronecker
+from tpbases.linalg import collocation_matrix, cond_inf, inverse, kronecker
 from tpbases.render import sci_notation
 from tpbases.spectral import spectral_report
 
@@ -208,6 +209,23 @@ def test_factor_dominance_matches_kronecker_dominance():
         verdict = _dominance_verdict(n, "pair", "plain", inv_a, inv_m)
         assert verdict.holds is oracle
         outcomes.add(oracle)
+    assert outcomes == {True, False}  # both directions are exercised
+
+
+def test_factor_conditioning_matches_kronecker_conditioning():
+    # the Kronecker squares are at most 16 x 16 for n <= 3
+    outcomes = set()
+    for n, a, m in _dominance_cases():
+        if n > 3:
+            continue
+        kappa = {id(x): cond_inf(kronecker(x, x)) for x in (a, m)}
+        for x, y in ((a, m), (m, a)):
+            oracle = kappa[id(y)] <= kappa[id(x)]
+            verdict = _conditioning_verdict(n, "pair", "plain", x, y)
+            assert verdict.holds is oracle
+            assert verdict.witness == (None if oracle else
+                                       (kappa[id(y)], kappa[id(x)]))
+            outcomes.add(oracle)
     assert outcomes == {True, False}  # both directions are exercised
 
 

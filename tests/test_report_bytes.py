@@ -34,6 +34,12 @@ PINNED = [
      "65d18e15e20f1a66b89a7dd8ac5cb132699ab0fb25b6754271024e59db7ec938"),
     ("verify --part all --degrees 1,2,3 --seed 193 --format md",
      "f441ff4d99e37195699adea3015dc4c4b3a600eeb5cacfe7180ae89fa332722a"),
+    ("verify --part i --degrees 3,4,5 --seed 82 --format csv",
+     "28739027b0e4f0c9ad6032c46dc0260c331f757100e01b302b777ab92291abf5"),
+    ("verify --part ii --degrees 3,4,5 --seed 82 --format csv",
+     "524049625c197fb6417014a301e3ea63e7c655abe3b531289cf180001b3b5ba7"),
+    ("verify --part iii --degrees 3,4,5 --seed 82 --format csv",
+     "d02c81b985c54ebfed0af252e9b01012664f173a7ec973d092d1289e53e5aff6"),
 ]
 
 

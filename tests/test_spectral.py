@@ -468,13 +468,16 @@ def _random_integer_matrices(count, seed=7):
     [[0, 0], [0, 1]],
     [[-1, 0], [0, 2]],
     [[1, 0], [0, 2]],
+    [[0, 0, 0], [0, 0, 0], [0, 0, 1]],  # a multiple root at 0
+    [[0, 0, 0], [0, 1, 0], [0, 0, 2]],  # a simple root at 0
 ])
 def test_min_eigenvalue_matches_sympy_real_roots(rows):
     # every eigenvalue is real exactly when the squarefree part of the
     # characteristic polynomial has as many real roots as its degree;
     # the oracle counts real roots with multiplicity instead.  A real
-    # spectrum is positive exactly when its smallest eigenvalue is, and a
-    # singular matrix has no positive sigma_min^2
+    # spectrum is positive exactly when its smallest eigenvalue is, which
+    # the Sturm count alone decides, a root at 0 included; and a singular
+    # matrix has no positive sigma_min^2
     sympy = pytest.importorskip("sympy")
     oracle = sympy.Matrix(rows)
     real = sympy.real_roots(oracle.charpoly(sympy.Symbol("x")))
@@ -486,6 +489,8 @@ def test_min_eigenvalue_matches_sympy_real_roots(rows):
     low = sympy.Rational(enc.low.numerator, enc.low.denominator)
     high = sympy.Rational(enc.high.numerator, enc.high.denominator)
     assert low < min(real) < high
+    positive = spectral._smallest_root(char_poly(as_matrix(rows)), TOL30)[1]
+    assert positive == (min(real) > 0)
     if oracle.det() == 0:
         with pytest.raises(SpectralAssumptionError):
             min_singular_value(as_matrix(rows), TOL30)
@@ -691,6 +696,8 @@ TINY = F(1, 10**40)
     ((10**6, 1, 1 + TINY), TOL30),  # two roots in one cell: no sign change
     ((10**40, 1, 1 + TINY, 1 + 2 * TINY), TOL30),  # three roots in one cell
     ((F(3, 2), F(3, 2) + TINY, F(3, 2) + 2 * TINY), F(1)),  # the same, reached fast
+    ((0, 1, 2), TOL30),           # a simple eigenvalue 0
+    ((0, 0, 1), TOL30),           # a multiple eigenvalue 0
 ])
 def test_min_eigenvalue_falls_back_to_the_descent(diagonal, tol, monkeypatch):
     m = _diagonal(*diagonal)
