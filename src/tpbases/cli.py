@@ -6,8 +6,9 @@ the exact cone solver (``verify`` still prints every verdict first).
 
 Each command imports what it runs: ``eval`` needs only the basis and
 rendering modules, so the experiment grid is imported inside the
-``tables`` and ``verify`` paths, and the weight search's bounds check only
-where weights are searched.
+``tables`` and ``verify`` paths.  The CLI only turns argv into an
+``ExperimentConfig``; ``experiments.check_inputs`` decides which checks a
+run needs and makes them before any table or verdict is computed.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import os
 import sys
 
 from .bases import BasisFamily, BasisSpec, eval_basis_row
-from .errors import DomainError, SearchExhaustedError
+from .errors import DEFAULT_SEARCH_MAX_ITER, DomainError, SearchExhaustedError
 from .render import fraction_str, parse_fraction
 
 EXIT_OK = 0
@@ -56,22 +57,21 @@ def _build_parser() -> argparse.ArgumentParser:
     tables = sub.add_parser("tables", help="reproduce the report tables")
     tables.add_argument("--which", default="1,2,3,4",
                         help="comma-separated table numbers (subset of 1,2,3,4)")
-    tables.add_argument("--degrees", default="3,4,5")
-    tables.add_argument("--seed", type=int, default=None)
-    tables.add_argument("--max-iter", type=int, default=None)
-    tables.add_argument("--format", choices=("md", "csv", "json"), default="md")
-    tables.add_argument("--out", default=None)
-    tables.add_argument("--full", action="store_true",
-                        help="also emit the B2_T spectral columns in table 3")
 
     verify = sub.add_parser("verify", help="verify the optimality properties")
     verify.add_argument("--part", choices=("i", "ii", "iii", "all"),
                         default="all")
-    verify.add_argument("--degrees", default="3,4,5")
-    verify.add_argument("--seed", type=int, default=None)
-    verify.add_argument("--max-iter", type=int, default=None)
-    verify.add_argument("--format", choices=("md", "csv", "json"), default="md")
-    verify.add_argument("--out", default=None)
+
+    for grid in (tables, verify):  # the grid's options, after the selector
+        grid.add_argument("--degrees", default="3,4,5")
+        grid.add_argument("--seed", type=int, default=None)
+        grid.add_argument("--max-iter", type=int,
+                          default=DEFAULT_SEARCH_MAX_ITER)
+        grid.add_argument("--format", choices=("md", "csv", "json"),
+                          default="md")
+        grid.add_argument("--out", default=None)
+    tables.add_argument("--full", action="store_true",
+                        help="also emit the B2_T spectral columns in table 3")
 
     ev = sub.add_parser("eval", help="evaluate one basis row at a point")
     ev.add_argument("--family", required=True, choices=sorted(_FAMILY_NAMES))
@@ -85,16 +85,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def _make_config(args):
     from .experiments import DEFAULT_SEED, ExperimentConfig
 
-    kwargs = {
-        "degrees": _parse_int_list(args.degrees),
-        "seed": (args.seed if args.seed is not None
-                 else _default_seed(DEFAULT_SEED)),
-    }
-    if getattr(args, "max_iter", None) is not None:
-        kwargs["max_iter"] = args.max_iter
-    if getattr(args, "full", False):
-        kwargs["full"] = True
-    return ExperimentConfig(**kwargs)
+    degrees = _parse_int_list(args.degrees)
+    seed = args.seed if args.seed is not None else _default_seed(DEFAULT_SEED)
+    return ExperimentConfig(degrees, seed, args.max_iter,
+                            getattr(args, "full", False))
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -110,21 +104,11 @@ def _emit(text: str, out_path: str | None) -> None:
             raise DomainError(f"cannot write {out_path}: {exc.strerror}") from exc
 
 
-def _check_spectra(config) -> None:
-    """Raise unless every degree's collocation matrix is within the exact
-    char-poly guard, which the spectral rows and verdicts need."""
-    from .spectral import check_char_poly_dim
-
-    for n in config.degrees:
-        check_char_poly_dim(n + 1)
-
-
 def _cmd_tables(args) -> int:
     from .experiments import (
         DEFAULT_DP_VARIANT,
-        WEIGHT_HI,
-        WEIGHT_LO,
         check_goldens,
+        check_inputs,
         render_report,
         run_table_1_2,
         run_table_3_4,
@@ -134,13 +118,7 @@ def _cmd_tables(args) -> int:
     if not which or not which.issubset({1, 2, 3, 4}):
         raise DomainError(f"--which must be a subset of 1,2,3,4, got {args.which!r}")
     config = _make_config(args)
-    # fail before any table is computed
-    if which & {3, 4}:
-        from .rng import check_search_bounds
-
-        check_search_bounds(WEIGHT_LO, WEIGHT_HI, config.max_iter)
-    if which & {1, 3}:
-        _check_spectra(config)
+    check_inputs(config, which=which)
     rows = []
     weights = None
     dp_variant = DEFAULT_DP_VARIANT
@@ -160,20 +138,11 @@ def _cmd_tables(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from .experiments import (
-        WEIGHT_HI,
-        WEIGHT_LO,
-        render_report,
-        verify_orderings,
-    )
-    from .rng import check_search_bounds
+    from .experiments import check_inputs, render_report, verify_orderings
 
     parts = ("i", "ii", "iii") if args.part == "all" else (args.part,)
     config = _make_config(args)
-    # fail before any verdict is computed; every part searches weights
-    check_search_bounds(WEIGHT_LO, WEIGHT_HI, config.max_iter)
-    if "ii" in parts:
-        _check_spectra(config)
+    check_inputs(config, parts=parts)
     verdicts, exhausted = verify_orderings(config, parts=parts)
     _emit(render_report([], verdicts, args.format, config), args.out)
     failures = [v for v in verdicts if v.holds is not True]

@@ -31,6 +31,7 @@ from .spectral import (
     DEFAULT_TOL,
     RootEnclosure,
     SpectralReport,
+    check_char_poly_dim,
     kron_min_spectral,
     refine_report,
     spectral_report,
@@ -138,6 +139,29 @@ class OrderingVerdict(namedtuple(
 _HOLDS_TEXT = {True: "true", False: "false", None: "indeterminate"}
 
 
+def check_inputs(config: ExperimentConfig, which=(), parts=()) -> None:
+    """Raise ``DomainError`` on a grid that tables ``which`` or verify
+    ``parts`` would reject later: the weight search's range and budget
+    when tables 3/4 or any part are asked for, and the exact char-poly
+    guard of every degree when spectra are (tables 1/3, part ii)."""
+    if parts or not {3, 4}.isdisjoint(which):
+        from .rng import check_search_bounds
+
+        check_search_bounds(WEIGHT_LO, WEIGHT_HI, config.max_iter)
+    if "ii" in parts or not {1, 3}.isdisjoint(which):
+        for n in config.degrees:
+            check_char_poly_dim(n + 1)
+
+
+def _golden(table: int, n: int, label: str, metric: str) -> str | None:
+    """The published decimal of a cell, None where the paper prints none."""
+    if table == 1 and (n, label) in GOLDEN_TABLE1:
+        return GOLDEN_TABLE1[n, label][metric != "lambda_min"]
+    if table == 2:
+        return GOLDEN_TABLE2.get((n, label))
+    return None
+
+
 def _grid_matrix(family: BasisFamily, n: int, weights=None,
                  dp_literal_middle: bool = False) -> Matrix:
     spec = BasisSpec(family, n, weights=weights,
@@ -206,7 +230,7 @@ def run_table_1_2(config: ExperimentConfig, which=(1, 2)
         for label, family, _ in PLAIN_BASES:
             x = _grid_matrix(family, n)
             kappa_row = None
-            golden = GOLDEN_TABLE2.get((n, label))
+            golden = _golden(2, n, label, "kappa_inf")
             if family is BasisFamily.DP and golden is not None:
                 kappa_row = _kappa_row(2, n, label, x)
                 if kappa_row.decimal != golden:
@@ -390,16 +414,9 @@ def check_goldens(rows: list[TableRow]) -> list[tuple[TableRow, str]]:
     """Rendered-vs-published mismatches; empty when all values agree."""
     mismatches = []
     for row in rows:
-        if row.table == 1:
-            golden = GOLDEN_TABLE1.get((row.degree, row.family_label))
-            if golden is not None:
-                expected = golden[0 if row.metric == "lambda_min" else 1]
-                if row.decimal != expected:
-                    mismatches.append((row, expected))
-        elif row.table == 2:
-            golden = GOLDEN_TABLE2.get((row.degree, row.family_label))
-            if golden is not None and row.decimal != golden:
-                mismatches.append((row, golden))
+        expected = _golden(row.table, row.degree, row.family_label, row.metric)
+        if expected is not None and row.decimal != expected:
+            mismatches.append((row, expected))
     return mismatches
 
 

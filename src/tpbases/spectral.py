@@ -31,9 +31,10 @@ evaluation, yields the enclosures of the roots in ascending order:
 the first.
 
 ``min_eigenvalue`` requires V(-inf) - V(+inf) = deg q, i.e. an all-real
-spectrum.  Every root is then positive exactly when q(0) != 0 and V(0),
-read off the chain's constant terms, equals V(-inf): this one count
-decides positivity everywhere in the module.  The answer is the cell that
+spectrum.  Every root is then positive exactly when V(0), read off the
+chain's constant terms, equals V(-inf) (``_smallest_root`` gives the
+argument): this one count decides positivity everywhere in the module.
+The answer is the cell that
 bisecting (-B, B) along the smallest root ends on.  Bisection is
 path-independent, so when every root is positive Newton finds that cell:
 from 0 it climbs towards the smallest root on the cell grid and never

@@ -433,6 +433,8 @@ def test_splitmix64_randint_range_and_determinism():
 def test_splitmix64_degenerate_range():
     rng = SplitMix64(1)
     assert rng.randint(7, 7) == 7
+    with pytest.raises(ValueError, match="empty range"):
+        rng.randint(5, 2)
 
 
 @pytest.mark.parametrize("seed", [0, -1, 2**64 - 1])

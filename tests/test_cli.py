@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from tpbases.cli import main
+from tpbases.cli import _build_parser, _make_config, main
 
 
 def test_tables_golden_pass(capsys, tmp_path):
@@ -113,6 +113,78 @@ def test_solver_weights_are_announced_on_stderr(capsys):
                             "(seed=9)\n")
     assert "weights,6,bernstein,weights,295/1 298/1 305/1 325/1 380/1 " \
         "539/1 1000/1" in captured.out
+
+
+def test_golden_mismatches_fail_with_one_line_each(capsys, monkeypatch):
+    import tpbases.experiments as experiments
+
+    monkeypatch.setitem(experiments.GOLDEN_TABLE1, (3, "B1"),
+                        ("1.00e-03", "2.00e-03"))
+    monkeypatch.setitem(experiments.GOLDEN_TABLE2, (4, "M"), "1.0000e+00")
+    assert main(["tables", "--which", "1,2", "--degrees", "3,4",
+                 "--format", "csv"]) == 1
+    assert capsys.readouterr().err == (
+        "golden mismatch: table 1 n=3 B1 lambda_min: got 8.28e-04, "
+        "expected 1.00e-03\n"
+        "golden mismatch: table 1 n=3 B1 sigma_min: got 8.28e-04, "
+        "expected 2.00e-03\n"
+        "golden mismatch: table 2 n=4 M kappa_inf: got 3.9690e+03, "
+        "expected 1.0000e+00\n")
+
+
+def test_failing_verdicts_fail_with_one_line_each(capsys, monkeypatch):
+    import tpbases.experiments as experiments
+    from tpbases.experiments import OrderingVerdict
+
+    def verdicts(config, parts):
+        return [
+            OrderingVerdict("dominance", 3, "said-ball vs bernstein", "plain",
+                            True),
+            OrderingVerdict("dominance", 3, "dp vs bernstein", "plain", False,
+                            witness=(0, 0, 1, 2)),
+            OrderingVerdict("spectral_ordering", 4,
+                            "rational dp vs rational bernstein", "rational",
+                            None),
+        ], []
+
+    monkeypatch.setattr(experiments, "verify_orderings", verdicts)
+    assert main(["verify", "--degrees", "3,4", "--format", "csv"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[1:] == [
+        "verdict,3,plain,dominance:said-ball vs bernstein,true",
+        "verdict,3,plain,dominance:dp vs bernstein,false",
+        "verdict,4,rational,spectral_ordering:rational dp vs rational "
+        "bernstein,indeterminate"]
+    assert captured.err == (
+        "verdict FALSE: dominance n=3 dp vs bernstein (plain)\n"
+        "verdict indeterminate: spectral_ordering n=4 rational dp vs "
+        "rational bernstein (rational)\n")
+
+
+def test_cli_defaults_are_the_library_defaults(monkeypatch):
+    from tpbases.experiments import ExperimentConfig
+
+    parser = _build_parser()
+    monkeypatch.delenv("TPB_SEED", raising=False)
+    for command in ("tables", "verify"):
+        assert _make_config(parser.parse_args([command])) == ExperimentConfig()
+    monkeypatch.setenv("TPB_SEED", "9")
+    for command in ("tables", "verify"):
+        assert _make_config(parser.parse_args([command])).seed == 9
+
+
+def test_option_strings_are_pinned():
+    # the help text lists the options in this order
+    commands = next(a for a in _build_parser()._actions
+                    if a.dest == "command").choices
+    grid = [["--degrees"], ["--seed"], ["--max-iter"], ["--format"], ["--out"]]
+    assert {name: [a.option_strings for a in sub._actions]
+            for name, sub in commands.items()} == {
+        "tables": [["-h", "--help"], ["--which"]] + grid + [["--full"]],
+        "verify": [["-h", "--help"], ["--part"]] + grid,
+        "eval": [["-h", "--help"], ["--family"], ["--degree"], ["--x"],
+                 ["--weights"]],
+    }
 
 
 def test_env_seed_fallback(monkeypatch, tmp_path):

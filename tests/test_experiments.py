@@ -4,8 +4,11 @@ from fractions import Fraction as F
 import pytest
 from exact_oracle import abs_matrix, dominates
 
+from tpbases import experiments
 from tpbases.bases import BasisFamily, BasisSpec, eval_basis_row, standard_nodes
+from tpbases.errors import DomainError, SpectralAssumptionError
 from tpbases.experiments import (
+    TOL_ROUNDS,
     ExperimentConfig,
     GOLDEN_TABLE1,
     GOLDEN_TABLE2,
@@ -21,7 +24,7 @@ from tpbases.experiments import (
 )
 from tpbases.linalg import collocation_matrix, cond_inf, inverse, kronecker
 from tpbases.render import sci_notation
-from tpbases.spectral import spectral_report
+from tpbases.spectral import DEFAULT_TOL, spectral_report
 
 
 @pytest.fixture(scope="module")
@@ -51,6 +54,8 @@ def test_sci_notation():
     # three-digit exponents
     assert sci_notation(F(10) ** 300, 2) == "1.0e+300"
     assert sci_notation(F(1, 10**300), 4) == "1.000e-300"
+    with pytest.raises(DomainError, match="at least one significant digit"):
+        sci_notation(F(7), 0)
 
 
 def test_plain_tables_match_goldens(plain_run):
@@ -141,7 +146,7 @@ def test_verify_all_parts_hold(n):
     assert all(v.holds is True for v in verdicts)
 
 
-def test_coarse_reports_are_tightened_in_place():
+def test_coarse_reports_are_tightened_in_place(monkeypatch):
     # at tolerance 1/10 nothing renders or orders: both results need the
     # later rounds of the tolerance schedule
     coarse = F(1, 10)
@@ -154,6 +159,34 @@ def test_coarse_reports_are_tightened_in_place():
                                 spectral_report(a, coarse),
                                 spectral_report(m, coarse), coarse)
     assert verdict.holds is True
+    # a rounding that stays ambiguous gives up after the last round
+    calls = []
+    monkeypatch.setattr(experiments, "render_enclosure",
+                        lambda *args, **kwargs: calls.append(args[0]))
+    with pytest.raises(SpectralAssumptionError, match="would not refine"):
+        _kron_report_rendered(m, coarse, 3)
+    assert len(calls) == 2 * TOL_ROUNDS
+
+
+def test_spectral_verdict_can_be_false_or_indeterminate():
+    nodes = standard_nodes(3)
+    m = collocation_matrix(BasisSpec(BasisFamily.BERNSTEIN, 3), nodes)
+    b1 = collocation_matrix(BasisSpec(BasisFamily.SAID_BALL, 3), nodes)
+    # Said-Ball as the reference: Bernstein's spectra are the larger
+    verdict = _spectral_verdict(3, "bernstein vs said-ball", "plain",
+                                spectral_report(m, DEFAULT_TOL),
+                                spectral_report(b1, DEFAULT_TOL), DEFAULT_TOL)
+    assert verdict.holds is False
+    lam_a, lam_m, sig_a, sig_m = verdict.witness
+    assert lam_m.high < lam_a.low and sig_m.high < sig_a.low
+    # two reports of one matrix enclose the same roots, so no tolerance
+    # separates them; unequal tolerances skip the equality shortcut
+    coarse = spectral_report(m, F(1, 10))
+    fine = spectral_report(m, DEFAULT_TOL)
+    assert coarse != fine
+    verdict = _spectral_verdict(3, "bernstein vs bernstein", "plain", coarse,
+                                fine, DEFAULT_TOL)
+    assert verdict.holds is None and verdict.witness is None
 
 
 def _scrambled_bernstein():

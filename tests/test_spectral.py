@@ -59,6 +59,8 @@ def test_char_poly_diagonal():
 def test_char_poly_guard():
     with pytest.raises(DomainError):
         char_poly(identity(CHAR_POLY_MAX_DIM + 1))
+    with pytest.raises(DomainError, match="matrix must be square"):
+        char_poly(as_matrix([[1, 2, 3], [4, 5, 6]]))
 
 
 def _random_rational_matrix(rng, n):
@@ -390,6 +392,10 @@ def test_refine_rejects_bad_tolerance():
     enc = isolate_real_roots(frs(-2, 0, 1))[1]
     with pytest.raises(DomainError):
         refine_root(enc, F(0))
+    # a Kronecker enclosure is a product of two and keeps no polynomial
+    rep = spectral_report(as_matrix([[2, 1], [1, 3]]))
+    with pytest.raises(DomainError, match="without its polynomial"):
+        refine_root(kron_min_spectral(rep, rep).lambda_min, F(1, 10**40))
 
 
 # --- squarefree handling ---
