@@ -94,8 +94,6 @@ def _make_config(args):
 def _emit(text: str, out_path: str | None) -> None:
     if out_path is None:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
     else:
         try:
             with open(out_path, "w", encoding="utf-8") as fh:

@@ -214,35 +214,34 @@ def _in_table(table: int, label: str, full: bool) -> bool:
     return full or (table, label) != (3, "B2_T")
 
 
+def _dp_literal(n: int) -> bool:
+    """Whether degree n's DP columns take the literal printed formula: the
+    paper's published DP values come from that formula, which differs
+    from the unity-corrected one only at odd degrees."""
+    return n % 2 == 1 and (n, "B2") in GOLDEN_TABLE2
+
+
 def run_table_1_2(config: ExperimentConfig, which=(1, 2)
                   ) -> tuple[list[TableRow], str]:
     """Rows of the plain-basis tables in ``which`` (1, 2 or both) plus the
     DP variant that was used.
 
-    The DP columns are first computed with the partition-of-unity corrected
-    middle functions; if any published condition-number value disagrees,
-    they are recomputed with the literal printed formula and the variant
-    that matches is recorded.
+    The DP columns of a degree take the literal printed formula where
+    ``_dp_literal`` says so, and the partition-of-unity corrected one
+    elsewhere; the variant reads "literal" when any degree took the
+    printed formula.
     """
     rows: list[TableRow] = []
-    dp_variant = DEFAULT_DP_VARIANT
     for n in config.degrees:
         for label, family, _ in PLAIN_BASES:
-            x = _grid_matrix(family, n)
-            kappa_row = None
-            golden = _golden(2, n, label, "kappa_inf")
-            if family is BasisFamily.DP and golden is not None:
-                kappa_row = _kappa_row(2, n, label, x)
-                if kappa_row.decimal != golden:
-                    x = _grid_matrix(family, n, dp_literal_middle=True)
-                    kappa_row = _kappa_row(2, n, label, x)
-                    if kappa_row.decimal == golden:
-                        dp_variant = "literal"
+            x = _grid_matrix(family, n, dp_literal_middle=(
+                family is BasisFamily.DP and _dp_literal(n)))
             if 1 in which:
                 rows.extend(_spectral_rows(1, n, label, x))
             if 2 in which:
-                rows.append(kappa_row or _kappa_row(2, n, label, x))
-    return rows, dp_variant
+                rows.append(_kappa_row(2, n, label, x))
+    literal = any(map(_dp_literal, config.degrees))
+    return rows, "literal" if literal else DEFAULT_DP_VARIANT
 
 
 def _positive_weights(n: int, config: ExperimentConfig,
@@ -320,7 +319,8 @@ def _interval_le(x: RootEnclosure, y: RootEnclosure) -> bool | None:
 
 
 def _spectral_verdict(n: int, pair: str, variant: str, fac_a: SpectralReport,
-                      fac_m: SpectralReport, tol: Fraction) -> OrderingVerdict:
+                      fac_m: SpectralReport, tol: Fraction = DEFAULT_TOL
+                      ) -> OrderingVerdict:
     """Spectral ordering of the Kronecker squares from factor reports
     refined to ``tol``; equal reports enclose the same root of the same
     polynomial, so their values are equal."""
@@ -341,9 +341,9 @@ def _spectral_verdict(n: int, pair: str, variant: str, fac_a: SpectralReport,
     return OrderingVerdict("spectral_ordering", n, pair, variant, None)
 
 
-def _conditioning_verdict(n: int, pair: str, variant: str, a: Matrix,
-                          m: Matrix) -> OrderingVerdict:
-    kappa_a, kappa_m = cond_inf(a) ** 2, cond_inf(m) ** 2  # as _kappa_row
+def _conditioning_verdict(n: int, pair: str, variant: str, kappa_a: Fraction,
+                          kappa_m: Fraction) -> OrderingVerdict:
+    kappa_a, kappa_m = kappa_a ** 2, kappa_m ** 2  # as _kappa_row
     if kappa_m <= kappa_a:
         return OrderingVerdict("conditioning_ordering", n, pair, variant, True)
     return OrderingVerdict("conditioning_ordering", n, pair, variant, False,
@@ -354,28 +354,19 @@ def _pair_verdicts(n: int, variant: str, m: Matrix,
                    pairs: list[tuple[str, Matrix]],
                    parts: tuple[str, ...]) -> list[OrderingVerdict]:
     """Verdicts of ``parts`` for each (pair, a) in ``pairs`` against the
-    reference collocation matrix ``m``, pair by pair.  Dominance (i)
-    inverts each matrix once and the spectral ordering (ii) reports on each
-    once; conditioning (iii) reads kappa_inf off ``cond_inf``, which forms
-    no inverse."""
-    verdicts: list[OrderingVerdict] = []
-    if "i" in parts:
-        inv_m = inverse(m)
-    if "ii" in parts:
-        rep_m = spectral_report(m, DEFAULT_TOL)
-    for pair, a in pairs:
-        same = a == m
-        if "i" in parts:
-            inv_a = inv_m if same else inverse(a)
-            verdicts.append(_dominance_verdict(n, pair, variant, inv_a,
-                                               inv_m))
-        if "ii" in parts:
-            rep_a = rep_m if same else spectral_report(a, DEFAULT_TOL)
-            verdicts.append(_spectral_verdict(n, pair, variant, rep_a, rep_m,
-                                              DEFAULT_TOL))
-        if "iii" in parts:
-            verdicts.append(_conditioning_verdict(n, pair, variant, a, m))
-    return verdicts
+    reference collocation matrix ``m``, pair by pair, parts in the order
+    i, ii, iii.  Each part reads one fact off each matrix, the reference's
+    once: dominance (i) the inverse, the spectral ordering (ii) the
+    spectral report, and conditioning (iii) kappa_inf from ``cond_inf``,
+    which forms no inverse."""
+    # built per call, so that it holds the functions' current bindings
+    table = {"i": (inverse, _dominance_verdict),
+             "ii": (spectral_report, _spectral_verdict),
+             "iii": (cond_inf, _conditioning_verdict)}
+    steps = [(fact, verdict, fact(m))
+             for part, (fact, verdict) in table.items() if part in parts]
+    return [verdict(n, pair, variant, fact(a), ref)
+            for pair, a in pairs for fact, verdict, ref in steps]
 
 
 def verify_orderings(

@@ -132,6 +132,20 @@ def test_golden_mismatches_fail_with_one_line_each(capsys, monkeypatch):
         "expected 1.0000e+00\n")
 
 
+def test_a_golden_mismatch_keeps_the_printed_dp_formula(capsys, monkeypatch):
+    # the formula follows the degree, not a comparison with the goldens
+    import tpbases.experiments as experiments
+
+    monkeypatch.setitem(experiments.GOLDEN_TABLE2, (3, "B2"), "1.0000e+00")
+    assert main(["tables", "--which", "2", "--degrees", "3",
+                 "--format", "md"]) == 1
+    captured = capsys.readouterr()
+    assert "dp_variant: literal" in captured.out
+    assert "| 3 | 5.1883e+02 | 1.7361e+03 | 7.1797e+03 |" in captured.out
+    assert captured.err == ("golden mismatch: table 2 n=3 B2 kappa_inf: got "
+                            "7.1797e+03, expected 1.0000e+00\n")
+
+
 def test_failing_verdicts_fail_with_one_line_each(capsys, monkeypatch):
     import tpbases.experiments as experiments
     from tpbases.experiments import OrderingVerdict
@@ -199,14 +213,18 @@ def test_env_seed_fallback(monkeypatch, tmp_path):
 
 
 def test_flag_beats_env(monkeypatch, tmp_path):
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    a, b, c = tmp_path / "a.csv", tmp_path / "b.csv", tmp_path / "c.csv"
     monkeypatch.setenv("TPB_SEED", "1")
     assert main(["tables", "--which", "4", "--degrees", "3", "--seed", "9",
                  "--format", "csv", "--out", str(a)]) == 0
     monkeypatch.setenv("TPB_SEED", "9")
     assert main(["tables", "--which", "4", "--degrees", "3",
                  "--format", "csv", "--out", str(b)]) == 0
-    assert a.read_bytes() == b.read_bytes()
+    # with the flag given, a malformed variable is never read
+    monkeypatch.setenv("TPB_SEED", "abc")
+    assert main(["tables", "--which", "4", "--degrees", "3", "--seed", "9",
+                 "--format", "csv", "--out", str(c)]) == 0
+    assert a.read_bytes() == b.read_bytes() == c.read_bytes()
 
 
 def test_unwritable_out_path_is_bad_input(capsys, tmp_path):
@@ -238,6 +256,32 @@ def test_bad_budget_fails_before_any_table_work(capsys, monkeypatch):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: max_iter must be >= 1, got 0\n"
+
+
+_LIST_ERROR = "error: expected a comma-separated integer list, got {!r}\n"
+
+
+@pytest.mark.parametrize("argv,env_seed,err", [
+    (["tables", "--which", "2"], "abc",
+     "error: TPB_SEED must be an integer, got 'abc'\n"),
+    (["verify", "--part", "iii"], "abc",
+     "error: TPB_SEED must be an integer, got 'abc'\n"),
+    (["tables", "--degrees", "3,x"], None, _LIST_ERROR.format("3,x")),
+    (["tables", "--which", "2,y"], None, _LIST_ERROR.format("2,y")),
+    (["verify", "--degrees", ""], None, _LIST_ERROR.format("")),
+    (["tables", "--degrees", "3,,4"], None, _LIST_ERROR.format("3,,4")),
+])
+def test_malformed_grid_input_fails_before_any_table_work(
+        argv, env_seed, err, capsys, monkeypatch):
+    _forbid_table_work(monkeypatch)
+    if env_seed is None:
+        monkeypatch.delenv("TPB_SEED", raising=False)
+    else:
+        monkeypatch.setenv("TPB_SEED", env_seed)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == err
 
 
 def test_budget_is_unchecked_without_a_search(capsys):

@@ -64,6 +64,38 @@ def test_plain_tables_match_goldens(plain_run):
     assert dp_variant == "literal"
 
 
+def test_dp_takes_the_printed_formula_at_odd_published_degrees():
+    assert [n for n in range(1, 12) if experiments._dp_literal(n)] == [3, 5]
+    assert run_table_1_2(ExperimentConfig(degrees=(4,)), which=(2,))[1] \
+        == "unity-corrected"
+
+
+def test_table_1_alone_computes_no_condition_number(monkeypatch):
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return cond_inf(x)
+
+    monkeypatch.setattr(experiments, "cond_inf", counted)
+    rows, dp_variant = run_table_1_2(ExperimentConfig(degrees=(3,)),
+                                     which=(1,))
+    assert calls == [] and dp_variant == "literal"
+    assert check_goldens(rows) == []
+    run_table_1_2(ExperimentConfig(degrees=(3,)), which=(2,))
+    assert len(calls) == 3  # one per plain basis
+
+
+@pytest.mark.parametrize("fmt", ["md", "csv", "json"])
+def test_reports_end_with_one_newline(fmt, plain_run, rational_run):
+    config = ExperimentConfig()
+    (plain_rows, dp_variant), (rational_rows, weights) = plain_run, rational_run
+    for report in (render_report([], [], fmt, config),
+                   render_report(plain_rows + rational_rows, [], fmt, config,
+                                 weights=weights, dp_variant=dp_variant)):
+        assert report.endswith("\n") and not report.endswith("\n\n")
+
+
 def test_table2_md_row(plain_run):
     rows, dp_variant = plain_run
     config = ExperimentConfig()
@@ -138,8 +170,8 @@ def test_verify_reflexive_case():
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_verify_all_parts_hold(n):
-    # at n <= 2 Said-Ball and DP equal Bernstein, which takes the
-    # equal-matrix shortcut of the spectral ordering
+    # at n <= 2 Said-Ball and DP equal Bernstein, so their equal spectral
+    # reports decide the spectral ordering without refining
     verdicts, exhausted = verify_orderings(ExperimentConfig(degrees=(n,)))
     assert exhausted == []
     assert len(verdicts) == 15  # 5 pairs x 3 parts
@@ -254,7 +286,8 @@ def test_factor_conditioning_matches_kronecker_conditioning():
         kappa = {id(x): cond_inf(kronecker(x, x)) for x in (a, m)}
         for x, y in ((a, m), (m, a)):
             oracle = kappa[id(y)] <= kappa[id(x)]
-            verdict = _conditioning_verdict(n, "pair", "plain", x, y)
+            verdict = _conditioning_verdict(n, "pair", "plain", cond_inf(x),
+                                            cond_inf(y))
             assert verdict.holds is oracle
             assert verdict.witness == (None if oracle else
                                        (kappa[id(y)], kappa[id(x)]))
