@@ -1,9 +1,11 @@
 """Compute certified rational enclosures of minimal eigenvalues and
 singular values, then lift them to tensor-product grids.
 
-Every enclosure is produced by Sturm-sequence root isolation on the
-exact characteristic polynomial, so the printed interval provably
-contains the true value.
+Every enclosure comes from the exact characteristic polynomial: Newton's
+method climbs from 0 to the cell of the bisection grid that holds the
+smallest root, and one Sturm count certifies that cell; where the count
+fails, a bisection walk on the Sturm chain finds the cell instead.  Either
+way the printed interval provably contains the true value.
 """
 
 from fractions import Fraction as F

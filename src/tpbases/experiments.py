@@ -84,8 +84,6 @@ BASES = (("M", BasisFamily.BERNSTEIN, "bernstein"),
 PLAIN_BASES = BASES[:3]
 PLAIN_LABELS = tuple(lab for lab, _, _ in PLAIN_BASES)
 RATIONAL_LABELS = tuple(lab + "_T" for lab, _, _ in BASES)
-# the report's weight order, a literal so that the plain tables skip cone
-WEIGHT_NAMES = ("bernstein", "saidball", "monomial", "dp")
 
 # md layout: table -> ((quantity, (metric, column suffix) pairs),
 #                       (basis group, family labels))
@@ -170,10 +168,11 @@ def _grid_matrix(family: BasisFamily, n: int, weights=None,
 
 
 def _tightened(rep: SpectralReport, tol: Fraction):
-    """``rep`` refined in place to each tolerance of the schedule."""
+    """The Kronecker square of the factor report ``rep``, refined in place
+    to each tolerance of the schedule."""
     for k in range(TOL_ROUNDS):
         rep = refine_report(rep, tol * TOL_STEP**k)
-        yield rep
+        yield kron_min_spectral(rep, rep)
 
 
 def _kron_report_rendered(
@@ -181,8 +180,7 @@ def _kron_report_rendered(
 ) -> tuple[SpectralReport, str, str]:
     """Kronecker-square spectral report plus unambiguous decimal strings,
     tightening the tolerance when rounding would be ambiguous."""
-    for rep in _tightened(spectral_report(x, tol), tol):
-        krep = kron_min_spectral(rep, rep)
+    for krep in _tightened(spectral_report(x, tol), tol):
         lam = render_enclosure(krep.lambda_min, sig_digits)
         sig = render_enclosure(krep.sigma_min_sq, sig_digits, sqrt=True)
         if lam is not None and sig is not None:
@@ -255,7 +253,6 @@ def _positive_weights(n: int, config: ExperimentConfig,
 
     try:
         return search_positive_weights(n, WEIGHT_LO, WEIGHT_HI,
-                                       seed=config.seed,
                                        max_iter=config.max_iter, rng=rng)
     except SearchExhaustedError:
         found = cone_weights(n, WEIGHT_LO, WEIGHT_HI)
@@ -295,8 +292,7 @@ def run_table_3_4(
     return rows, weights
 
 
-def _dominance_verdict(n: int, pair: str, variant: str, inv_a: Matrix,
-                       inv_m: Matrix) -> OrderingVerdict:
+def _dominance_verdict(inv_a: Matrix, inv_m: Matrix):
     """|(M (x) M)^-1| <= |(A (x) A)^-1| entrywise, decided on the factor
     inverses: the Kronecker entries are products m_ij m_kl and a_ij a_kl,
     so factor dominance gives it by multiplying bounds, and the diagonal
@@ -304,9 +300,8 @@ def _dominance_verdict(n: int, pair: str, variant: str, inv_a: Matrix,
     for i, (arow, mrow) in enumerate(zip(inv_a, inv_m)):
         for j, (av, mv) in enumerate(zip(arow, mrow)):
             if abs(mv) > abs(av):
-                return OrderingVerdict("dominance", n, pair, variant, False,
-                                      witness=(i, j, abs(av), mv))
-    return OrderingVerdict("dominance", n, pair, variant, True)
+                return False, (i, j, abs(av), mv)
+    return True, None
 
 
 def _interval_le(x: RootEnclosure, y: RootEnclosure) -> bool | None:
@@ -318,36 +313,30 @@ def _interval_le(x: RootEnclosure, y: RootEnclosure) -> bool | None:
     return None
 
 
-def _spectral_verdict(n: int, pair: str, variant: str, fac_a: SpectralReport,
-                      fac_m: SpectralReport, tol: Fraction = DEFAULT_TOL
-                      ) -> OrderingVerdict:
-    """Spectral ordering of the Kronecker squares from factor reports
-    refined to ``tol``; equal reports enclose the same root of the same
-    polynomial, so their values are equal."""
+def _spectral_verdict(fac_a: SpectralReport, fac_m: SpectralReport,
+                      tol: Fraction = DEFAULT_TOL):
+    """Spectral ordering of the Kronecker squares of factor reports refined
+    to ``tol``, witnessed by the square enclosures; equal reports enclose
+    the same root of the same polynomial, so their values are equal."""
     if fac_a == fac_m:
-        return OrderingVerdict("spectral_ordering", n, pair, variant, True)
-    for fac_a, fac_m in zip(_tightened(fac_a, tol), _tightened(fac_m, tol)):
-        rep_a = kron_min_spectral(fac_a, fac_a)
-        rep_m = kron_min_spectral(fac_m, fac_m)
+        return True, None
+    for rep_a, rep_m in zip(_tightened(fac_a, tol), _tightened(fac_m, tol)):
         lam_ok = _interval_le(rep_a.lambda_min, rep_m.lambda_min)
         sig_ok = _interval_le(rep_a.sigma_min_sq, rep_m.sigma_min_sq)
         if lam_ok is False or sig_ok is False:
-            return OrderingVerdict(
-                "spectral_ordering", n, pair, variant, False,
-                witness=(rep_a.lambda_min, rep_m.lambda_min,
-                         rep_a.sigma_min_sq, rep_m.sigma_min_sq))
+            return False, (rep_a.lambda_min, rep_m.lambda_min,
+                           rep_a.sigma_min_sq, rep_m.sigma_min_sq)
         if lam_ok and sig_ok:
-            return OrderingVerdict("spectral_ordering", n, pair, variant, True)
-    return OrderingVerdict("spectral_ordering", n, pair, variant, None)
+            return True, None
+    return None, None
 
 
-def _conditioning_verdict(n: int, pair: str, variant: str, kappa_a: Fraction,
-                          kappa_m: Fraction) -> OrderingVerdict:
+def _conditioning_verdict(kappa_a: Fraction, kappa_m: Fraction):
+    """kappa_inf ordering of the Kronecker squares from the factors'."""
     kappa_a, kappa_m = kappa_a ** 2, kappa_m ** 2  # as _kappa_row
     if kappa_m <= kappa_a:
-        return OrderingVerdict("conditioning_ordering", n, pair, variant, True)
-    return OrderingVerdict("conditioning_ordering", n, pair, variant, False,
-                          witness=(kappa_m, kappa_a))
+        return True, None
+    return False, (kappa_m, kappa_a)
 
 
 def _pair_verdicts(n: int, variant: str, m: Matrix,
@@ -355,18 +344,20 @@ def _pair_verdicts(n: int, variant: str, m: Matrix,
                    parts: tuple[str, ...]) -> list[OrderingVerdict]:
     """Verdicts of ``parts`` for each (pair, a) in ``pairs`` against the
     reference collocation matrix ``m``, pair by pair, parts in the order
-    i, ii, iii.  Each part reads one fact off each matrix, the reference's
-    once: dominance (i) the inverse, the spectral ordering (ii) the
-    spectral report, and conditioning (iii) kappa_inf from ``cond_inf``,
-    which forms no inverse."""
+    i, ii, iii.  Each part is a row (record name, fact, predicate): the
+    fact is read off each matrix, the reference's once, and the predicate
+    gives (holds, witness) from the two: dominance (i) reads the inverse,
+    the spectral ordering (ii) the spectral report, and conditioning (iii)
+    kappa_inf from ``cond_inf``, which forms no inverse."""
     # built per call, so that it holds the functions' current bindings
-    table = {"i": (inverse, _dominance_verdict),
-             "ii": (spectral_report, _spectral_verdict),
-             "iii": (cond_inf, _conditioning_verdict)}
-    steps = [(fact, verdict, fact(m))
-             for part, (fact, verdict) in table.items() if part in parts]
-    return [verdict(n, pair, variant, fact(a), ref)
-            for pair, a in pairs for fact, verdict, ref in steps]
+    table = {"i": ("dominance", inverse, _dominance_verdict),
+             "ii": ("spectral_ordering", spectral_report, _spectral_verdict),
+             "iii": ("conditioning_ordering", cond_inf,
+                     _conditioning_verdict)}
+    steps = [(name, fact, verdict, fact(m))
+             for part, (name, fact, verdict) in table.items() if part in parts]
+    return [OrderingVerdict(name, n, pair, variant, *verdict(fact(a), ref))
+            for pair, a in pairs for name, fact, verdict, ref in steps]
 
 
 def verify_orderings(
@@ -422,14 +413,14 @@ def _md_table(header: list[str], lines: list[list[str]]) -> list[str]:
 
 
 def _weight_strings(conv: WeightConversionResult) -> dict[str, list[str]]:
-    return {name: [fraction_str(v) for v in getattr(conv, name)]
-            for name in WEIGHT_NAMES}
+    return {name: [fraction_str(v) for v in vec]
+            for name, vec in zip(conv._fields, conv) if name != "all_positive"}
 
 
 def _render_md(rows, verdicts, config, weights, dp_variant) -> str:
     lines = [f"# Totally positive basis conditioning report",
              "", f"dp_variant: {dp_variant}", ""]
-    degrees = sorted({r.degree for r in rows}) or list(config.degrees)
+    degrees = sorted({r.degree for r in rows})
     values = {(r.table, r.degree, r.family_label, r.metric): r.decimal
               for r in rows}
     for table in sorted({r.table for r in rows}):

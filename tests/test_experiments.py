@@ -163,9 +163,8 @@ def test_goldens_cover_full_grid():
 
 def test_verify_reflexive_case():
     m = collocation_matrix(BasisSpec(BasisFamily.BERNSTEIN, 3), standard_nodes(3))
-    verdict = _dominance_verdict(3, "bernstein vs bernstein", "plain",
-                                 inverse(m), inverse(m))
-    assert verdict.holds is True
+    holds, witness = _dominance_verdict(inverse(m), inverse(m))
+    assert holds is True and witness is None
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -187,10 +186,9 @@ def test_coarse_reports_are_tightened_in_place(monkeypatch):
     a = collocation_matrix(BasisSpec(BasisFamily.SAID_BALL, 3), nodes)
     _, lam, sig = _kron_report_rendered(m, coarse, 3)
     assert (lam, sig) == GOLDEN_TABLE1[(3, "M")]
-    verdict = _spectral_verdict(3, "said-ball vs bernstein", "plain",
-                                spectral_report(a, coarse),
-                                spectral_report(m, coarse), coarse)
-    assert verdict.holds is True
+    holds, _ = _spectral_verdict(spectral_report(a, coarse),
+                                 spectral_report(m, coarse), coarse)
+    assert holds is True
     # a rounding that stays ambiguous gives up after the last round
     calls = []
     monkeypatch.setattr(experiments, "render_enclosure",
@@ -205,20 +203,19 @@ def test_spectral_verdict_can_be_false_or_indeterminate():
     m = collocation_matrix(BasisSpec(BasisFamily.BERNSTEIN, 3), nodes)
     b1 = collocation_matrix(BasisSpec(BasisFamily.SAID_BALL, 3), nodes)
     # Said-Ball as the reference: Bernstein's spectra are the larger
-    verdict = _spectral_verdict(3, "bernstein vs said-ball", "plain",
-                                spectral_report(m, DEFAULT_TOL),
-                                spectral_report(b1, DEFAULT_TOL), DEFAULT_TOL)
-    assert verdict.holds is False
-    lam_a, lam_m, sig_a, sig_m = verdict.witness
+    holds, witness = _spectral_verdict(spectral_report(m, DEFAULT_TOL),
+                                       spectral_report(b1, DEFAULT_TOL),
+                                       DEFAULT_TOL)
+    assert holds is False
+    lam_a, lam_m, sig_a, sig_m = witness
     assert lam_m.high < lam_a.low and sig_m.high < sig_a.low
     # two reports of one matrix enclose the same roots, so no tolerance
     # separates them; unequal tolerances skip the equality shortcut
     coarse = spectral_report(m, F(1, 10))
     fine = spectral_report(m, DEFAULT_TOL)
     assert coarse != fine
-    verdict = _spectral_verdict(3, "bernstein vs bernstein", "plain", coarse,
-                                fine, DEFAULT_TOL)
-    assert verdict.holds is None and verdict.witness is None
+    holds, witness = _spectral_verdict(coarse, fine, DEFAULT_TOL)
+    assert holds is None and witness is None
 
 
 def _scrambled_bernstein():
@@ -240,10 +237,9 @@ def test_scrambled_basis_fails_dominance():
     scrambled = _scrambled_bernstein()
     m = collocation_matrix(BasisSpec(BasisFamily.BERNSTEIN, 3),
                            standard_nodes(3))
-    verdict = _dominance_verdict(3, "scrambled vs bernstein", "plain",
-                                 inverse(scrambled), inverse(m))
-    assert verdict.holds is False
-    i, j, bound, value = verdict.witness
+    holds, witness = _dominance_verdict(inverse(scrambled), inverse(m))
+    assert holds is False
+    i, j, bound, value = witness
     assert abs(value) > bound
     # the witness is an entry of the factor inverses
     assert bound == abs(inverse(scrambled)[i][j])
@@ -271,8 +267,8 @@ def test_factor_dominance_matches_kronecker_dominance():
         inv_a, inv_m = inverse(a), inverse(m)
         oracle = dominates(kronecker(abs_matrix(inv_a), abs_matrix(inv_a)),
                            kronecker(inv_m, inv_m))
-        verdict = _dominance_verdict(n, "pair", "plain", inv_a, inv_m)
-        assert verdict.holds is oracle
+        holds, _ = _dominance_verdict(inv_a, inv_m)
+        assert holds is oracle
         outcomes.add(oracle)
     assert outcomes == {True, False}  # both directions are exercised
 
@@ -286,11 +282,10 @@ def test_factor_conditioning_matches_kronecker_conditioning():
         kappa = {id(x): cond_inf(kronecker(x, x)) for x in (a, m)}
         for x, y in ((a, m), (m, a)):
             oracle = kappa[id(y)] <= kappa[id(x)]
-            verdict = _conditioning_verdict(n, "pair", "plain", cond_inf(x),
-                                            cond_inf(y))
-            assert verdict.holds is oracle
-            assert verdict.witness == (None if oracle else
-                                       (kappa[id(y)], kappa[id(x)]))
+            holds, witness = _conditioning_verdict(cond_inf(x), cond_inf(y))
+            assert holds is oracle
+            assert witness == (None if oracle else
+                               (kappa[id(y)], kappa[id(x)]))
             outcomes.add(oracle)
     assert outcomes == {True, False}  # both directions are exercised
 

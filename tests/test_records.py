@@ -70,8 +70,8 @@ def test_equal_spectral_reports_compare_equal():
     twin = _bernstein_report()
     assert rep is not twin and rep == twin
     assert rep != _bernstein_report(4)
-    verdict = _spectral_verdict(3, "pair", "plain", rep, twin, F(1, 10**30))
-    assert verdict.holds is True
+    holds, witness = _spectral_verdict(rep, twin, F(1, 10**30))
+    assert holds is True and witness is None
 
 
 def test_every_public_name_resolves_to_its_module_object():

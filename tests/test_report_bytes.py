@@ -2,10 +2,12 @@
 rendering code must leave every byte of these reports the same.
 
 The digests were recorded once and must never be re-recorded to make a
-change pass; a mismatch means the change altered the reports.
+change pass; a mismatch means the change altered the reports.  A report
+written with ``--out`` is hashed from its file.
 """
 
 import hashlib
+from pathlib import Path
 
 import pytest
 
@@ -40,12 +42,43 @@ PINNED = [
      "524049625c197fb6417014a301e3ea63e7c655abe3b531289cf180001b3b5ba7"),
     ("verify --part iii --degrees 3,4,5 --seed 82 --format csv",
      "d02c81b985c54ebfed0af252e9b01012664f173a7ec973d092d1289e53e5aff6"),
+    ("tables --which 1,2,3,4 --degrees 3 --seed 9 --format csv",
+     "15b5df4e4fc1d0614a5f0fc16ea18dfe6790f9c4c9489b7f083f8b948750dbec"),
+    ("tables --which 1,2 --degrees 11 --format csv",
+     "69b76c80c3546a29b1d67d85fa87716e913ee74cbebb51ca333785f898130803"),
+    # the exact cone solver supplies the weights after the stream runs dry
+    ("tables --which 3,4 --degrees 6 --max-iter 1000 --seed 9 --format csv",
+     "15e1ba4e425b48812af32bc890cf8ef2ec5f6a180849a1753787f0fef5ff3248"),
+    # table 1 alone takes the printed DP formula at degrees 3 and 5
+    ("tables --which 1 --degrees 3,5 --format json",
+     "2816efad9814d13234c994c24a501007e8bb7c3db19e7c653401eb16c1c87e06"),
+    # an even published degree keeps the unity-corrected DP formula
+    ("tables --which 1,2 --degrees 4 --format md",
+     "97b5444035136384a2681eb0c7dd145064a12125e3bbfd8df02bb22412626507"),
+    ("tables --which 3,4 --degrees 3,4,5 --seed 82 --format csv",
+     "2f63c2e661960606a993fb3ee4798c3e7fff31b1ed0d42bff3c4bbf9ac222d00"),
+    ("verify --part all --degrees 3 --seed 9 --format csv",
+     "df446b6786bf5c77468c105ada6ad1ad9073b1912d77f3fe2591ce886bb5f29a"),
+    ("verify --part all --degrees 3,4,5 --seed 82 --format csv",
+     "53832aa831d95d2fd4535a60fcbc1502c890b09ffe16c4161e87d93e4ddc2c66"),
+    ("tables --which 1,2,3,4 --degrees 3 --seed 9 --max-iter 1000000 "
+     "--format md --full --out report.md",
+     "84d66795f1c4dbd04db8e2972556738eab258f97fe386ec06ff470d2f58243d6"),
+    ("verify --part all --degrees 3 --seed 9 --max-iter 1000000 "
+     "--format json --out verify.json",
+     "8fd4a1c2a3728ec97617897f7bf3fffbf80b33279a55df0c6b690f6fa5a97737"),
 ]
 
 
 @pytest.mark.parametrize("command,digest", PINNED)
-def test_report_bytes_are_pinned(command, digest, capsys, monkeypatch):
+def test_report_bytes_are_pinned(command, digest, capsys, monkeypatch,
+                                 tmp_path):
     monkeypatch.delenv("TPB_SEED", raising=False)
-    assert main(command.split()) == 0
-    out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+    monkeypatch.chdir(tmp_path)  # where --out writes its report
+    args = command.split()
+    assert main(args) == 0
+    if "--out" in args:
+        report = Path(args[args.index("--out") + 1]).read_bytes()
+    else:
+        report = capsys.readouterr().out.encode("utf-8")
+    assert hashlib.sha256(report).hexdigest() == digest

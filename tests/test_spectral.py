@@ -741,6 +741,14 @@ def test_climb_toward_a_cluster(diagonal, monkeypatch):
         assert descents == []
 
 
+def test_newton_step_is_none_where_the_derivative_vanishes():
+    # p(x) = x^2 - 4x + 3 = (x - 1)(x - 3): p'(2) = 0 gives no step, and
+    # from 0 the step -p(0)/p'(0) = 3/4 is three grid steps of 1/4
+    p = [3, -4, 1]
+    assert spectral._newton_at(p, F(2), F(1, 4)) == (-1, None)
+    assert spectral._newton_at(p, F(0), F(1, 4)) == (1, 3)
+
+
 def test_min_eigenvalue_checks_tolerance_after_the_spectrum(monkeypatch):
     with pytest.raises(SpectralAssumptionError):
         min_eigenvalue(as_matrix([[0, -1], [1, 0]]), F(0))
