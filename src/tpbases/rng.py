@@ -5,16 +5,24 @@ integer stream is fixed by the seed alone and trivially portable.
 
 Its state is a Weyl sequence: after i outputs it is s0 + i*GAMMA mod 2^64,
 and each output is a fixed mix of the state.  So ``skip`` jumps past any
-number of outputs in O(1), and ``_blocks`` computes the stream ``BLOCK``
-outputs at a time: a block's states sit in one Python int, one per 128-bit
-lane, and each step of the mix acts on every lane in one big-int operation.
-A lane holds a 64-bit value, and the only product (by a 64-bit constant)
-fits in 128 bits, so no carry crosses into the next lane.  The lane states
-are built once per search, and the next block's are the same lanes plus
-BLOCK*GAMMA each.  A block comes back as little-endian bytes, 16 per
-output: the masked output in bytes 0-7 and ``randint``'s reject flag in
-byte 8, so ``search_positive_weights`` finds the rejected outputs with
-``bytes.find`` instead of a Python loop over the block.  ``next_uint64``
+number of outputs in O(1), and ``_superblocks`` computes the stream with
+big-int lane arithmetic: ``BLOCK`` states sit in one Python int, one per
+128-bit lane, and each step of the mix acts on every lane in one big-int
+operation.  A lane holds a 64-bit value, and each product (by a constant
+of at most 64 bits) fits in 128 bits, so no carry crosses into the next
+lane.  ``randint`` keeps only the low ``bits`` bits of an output, so the
+second product is taken mod 2^(31 + bits), all that those bits depend on,
+when that is narrower than 64 bits.
+
+The search stores each masked output v in G bytes, the smallest of 2, 4,
+8 or 16 with 8G > bits, as v + 2^(8G-1) - span: the top bit of the G-byte
+lane is then ``randint``'s reject flag (v >= span).  P = 16/G sub-blocks of
+``BLOCK`` outputs share one int of 128-bit lanes, lane i holding outputs
+iP, ..., iP + P - 1, so a single ``to_bytes`` gives the P*BLOCK outputs of
+a superblock in stream order.  Rejected lanes are set to all-ones, and
+splitting the bytes at each run of G 0xff bytes drops them in C: an
+accepted lane's top byte is below 0x80, so every such run starts on a
+lane boundary.  Python steps through no rejected output.  ``next_uint64``
 and ``randint`` remain the reference semantics of the stream.
 
 ``search_positive_weights`` is the first stage of the weight search and
@@ -29,8 +37,14 @@ degree's search goes on from the same point of the stream.
 from __future__ import annotations
 
 import functools
+import operator
 
-from .cone import WeightConversionResult, check_box, convert_bernstein_weights
+from .cone import (
+    WeightConversionResult,
+    _cone_rows,
+    check_box,
+    convert_bernstein_weights,
+)
 from .errors import DEFAULT_SEARCH_MAX_ITER, DomainError, SearchExhaustedError
 
 _MASK64 = (1 << 64) - 1
@@ -40,20 +54,42 @@ _MIX2 = 0x94D049BB133111EB
 
 BLOCK = 1024
 LANE_BYTES = 16
-FLAG_BYTE = 8  # the reject flag's byte within a lane: 1 rejected, 0 kept
 
 
 @functools.cache
-def _lanes() -> tuple[int, int, int, int, int]:
-    """Per lane: 1, 2^64 - 1, 2^64 (the flag bit), the Weyl increment of
-    output i + 1 (lane i) and BLOCK*GAMMA mod 2^64.  Built in linear time
-    on first use, so importing costs nothing."""
+def _lanes(g: int) -> tuple[int, int, int, int]:
+    """Lane constants for g-byte outputs, P = 16/g of them per 128-bit
+    lane: 1 and 2^64 - 1 per lane, the Weyl increment (iP + 1)*GAMMA of
+    lane i's first output, and 1 per g-byte lane of a superblock.  Built
+    arithmetically on first use, so importing costs nothing."""
     ones = int.from_bytes((1).to_bytes(LANE_BYTES, "little") * BLOCK, "little")
-    steps = int.from_bytes(
-        b"".join((i * _GAMMA & _MASK64).to_bytes(LANE_BYTES, "little")
-                 for i in range(1, BLOCK + 1)),
-        "little")
-    return ones, ones * _MASK64, ones << 64, steps, ones * (BLOCK * _GAMMA & _MASK64)
+    # lane i of ramp holds i: each doubling of the lanes built so far
+    # copies them, plus m, into the next m lanes
+    ramp, m = 0, 1
+    while m < BLOCK:
+        ramp |= (ramp + m * (ones >> 128 * (BLOCK - m))) << 128 * m
+        m *= 2
+    p = LANE_BYTES // g
+    low64 = ones * _MASK64
+    steps = (p * ramp + ones) * _GAMMA & low64
+    sub_ones = int.from_bytes((1).to_bytes(g, "little") * (p * BLOCK), "little")
+    return ones, low64, steps, sub_ones
+
+
+def _lane_bytes(bits: int) -> int:
+    """The lane width G in bytes for values of ``bits`` bits and their
+    reject flag: the smallest of 2, 4, 8 and 16 with 8G > bits."""
+    return next(g for g in (2, 4, 8, 16) if 8 * g > bits)
+
+
+def _lane_layout(span: int) -> tuple[int, int, int]:
+    """For ``randint`` over span values: the bits it keeps of an output
+    (at most 64), the lane width G and the shift 2^(8G-1) - span that the
+    search adds to each kept value."""
+    bits = min((span - 1).bit_length(), 64)
+    g = _lane_bytes(bits)
+    # a span beyond 2^64 rejects nothing, as one of 2^bits does
+    return bits, g, (1 << 8 * g - 1) - min(span, 1 << bits)
 
 
 class SplitMix64:
@@ -91,45 +127,45 @@ class SplitMix64:
                 return lo + v
 
 
-def _blocks(state: int, mask: int, span: int):
-    """The outputs of a generator in ``state``, ANDed with mask, ``BLOCK``
-    at a time as 16-byte little-endian lanes.
+def _superblocks(state: int, span: int):
+    """The outputs of a generator in ``state`` as ``randint`` over span
+    values sees them, ``LANE_BYTES // G * BLOCK`` at a time.
 
-    Lane i holds v = (output i) & mask in bytes 0-7 and, in byte
-    ``FLAG_BYTE``, 1 if v >= span (``randint`` would reject it) else 0.
+    Yields pairs (raw, kept) of little-endian bytes.  ``raw`` has one
+    G-byte lane per output in stream order (G from ``_lane_layout``):
+    v + shift for the masked output v when v < span, all-ones when
+    ``randint`` rejects it.  ``kept`` is ``raw`` without its all-ones
+    lanes, the accepted values in order.
     """
-    ones, low64, flags, steps, block_step = _lanes()
-    # outputs have 64 bits; a wider mask, repeated per lane, would overlap
-    # the next lane and keep the bits the shift moved in.
-    # v + (2^64 - span) reaches bit 64 exactly when v >= span.
-    mask_lanes = (mask & _MASK64) * ones
-    offset = max(0, (1 << 64) - span) * ones
+    bits, g, shift = _lane_layout(span)
+    ones, low64, steps, sub_ones = _lanes(g)
+    # randint keeps bits 0..bits-1 of z ^ (z >> 31), which depend on
+    # z mod 2^(31 + bits) only; a product by a constant below 2^width
+    # stays inside its 128-bit lane
+    width = min(31 + bits, 64)
+    mix2, low2 = _MIX2 & ((1 << width) - 1), ones * ((1 << width) - 1)
+    masked = ones * ((1 << bits) - 1)
+    top = 8 * g - 1
+    offsets, flags = shift * sub_ones, sub_ones << top
+    step = ones * _GAMMA
+    # after the P sub-blocks, on to lane i's output of the next superblock
+    jump = ones * (LANE_BYTES // g * (BLOCK - 1) * _GAMMA & _MASK64)
     states = (state * ones + steps) & low64
+    gone = b"\xff" * g
     while True:
-        z = ((states ^ (states >> 30)) & low64) * _MIX1 & low64
-        z = ((z ^ (z >> 27)) & low64) * _MIX2 & low64
-        z = (z ^ (z >> 31)) & mask_lanes
-        z |= (z + offset) & flags
-        yield z.to_bytes(BLOCK * LANE_BYTES, "little")
-        states = (states + block_step) & low64
-
-
-def _accepted(block: bytes, pending: bytes) -> tuple[bytes, list[int]]:
-    """``pending`` followed by the lanes of ``block`` whose reject flag is
-    clear, and the positions of the flagged lanes, ascending."""
-    # one find per rejected output; the kept runs between them are copied
-    # whole
-    flags = block[FLAG_BYTE::LANE_BYTES]
-    view = memoryview(block)
-    runs, rejects, start = [pending], [], 0
-    i = flags.find(1)
-    while i >= 0:
-        rejects.append(i)
-        runs.append(view[start * LANE_BYTES:i * LANE_BYTES])
-        start = i + 1
-        i = flags.find(1, start)
-    runs.append(view[start * LANE_BYTES:])
-    return b"".join(runs), rejects
+        packed = 0
+        for at in range(0, 8 * LANE_BYTES, 8 * g):  # sub-block p at 8Gp
+            z = ((states ^ (states >> 30)) & low64) * _MIX1 & low64
+            z = ((z ^ (z >> 27)) & low64) * mix2 & low2
+            packed |= ((z ^ (z >> 31)) & masked) << at
+            states = (states + step) & low64
+        states = (states + jump) & low64
+        packed += offsets
+        rejected = packed & flags
+        packed |= rejected - (rejected >> top)  # the flagged lanes: all-ones
+        raw = packed.to_bytes(BLOCK * LANE_BYTES, "little")
+        # as bytes.replace(gone, b""), but one scan instead of two
+        yield raw, b"".join(raw.split(gone))
 
 
 def _monomial_prechecked(lanes: bytes, n: int, count: int, bits: int) -> list[int]:
@@ -137,32 +173,40 @@ def _monomial_prechecked(lanes: bytes, n: int, count: int, bits: int) -> list[in
     coefficients are all positive.
 
     Vector i is the values of lanes i(n+1), ..., i(n+1) + n of ``lanes``,
-    16 little-endian bytes each; every value is below 2^bits, bits <= 64.
+    G little-endian bytes each, G = ``_lane_bytes(bits)``, bits <= 64.
+    Every lane lies in [2^(8G-1) - 2^bits, 2^(8G-1)), as the search's
+    kept values v + 2^(8G-1) - span do.
     """
     # The monomial coefficients of sum w_j b_j^n are C(n,k) * (k-th forward
-    # difference of w at 0), so positivity reduces to positive differences.
-    # Column j (entry j of every vector) is packed into one int with a
-    # W-byte lane per vector and every lane biased by B = 2^(8W-1).  A
-    # difference of order d <= n has absolute value below 2^(bits+d-1), at
-    # most 2^(8W-3) as 8W >= bits + n + 2, so the biased lanes stay inside
-    # [0, 2^(8W)) and one big-int operation acts on each lane alone.
+    # difference of w at 0), so positivity reduces to positive differences,
+    # which a shift common to all values leaves alone.  Read as an integer,
+    # the low c = ceil(bits/8) bytes of a lane are the lane itself when
+    # c = G, and the lane - 2^(8G-1) + 2^(8c) when c < G; either way all
+    # values share the shift and lie in [0, 2^(8c)).  Column j (entry j of
+    # every vector) is packed into one int with a W-byte lane per vector,
+    # 8W >= bits + n, so W >= c.  A difference of order d >= 1 is biased by
+    # B - 1, B = 2^(8W-1): its absolute value is below 2^(bits+d-1) <= B,
+    # so the biased lanes stay inside [0, 2^(8W)), one big-int operation
+    # acts on each lane alone, and a lane's top bit is set exactly when its
+    # difference is >= 1.
     k = n + 1
-    width = -(-(bits + n + 2) // 8)
-    stride = LANE_BYTES * k
-    bias = int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
-    ones = int.from_bytes((1).to_bytes(width, "little") * count, "little")
+    g = _lane_bytes(bits)
+    width = -(-(bits + n) // 8)
+    stride = g * k
+    signs = int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
+    bias = int.from_bytes((b"\xff" * (width - 1) + b"\x7f") * count, "little")
 
     def column(j: int) -> int:
         packed = bytearray(count * width)
         for b in range(-(-bits // 8)):
-            start = j * LANE_BYTES + b
+            start = j * g + b
             packed[b::width] = lanes[start:count * stride:stride]
-        return int.from_bytes(packed, "little") | bias
+        return int.from_bytes(packed, "little")
 
     # the anti-diagonal Δ^m w_(d-m), m = 0..d: each new column w_d extends
     # it by one order, and its last entry is the leading difference Δ^d w_0
     diagonal = [column(0)]
-    alive = bias  # a lane's sign bit: every leading difference so far > 0
+    alive = signs  # a lane's top bit: every leading difference so far >= 1
     for d in range(1, k):
         t = column(d)
         extended = [t]
@@ -170,27 +214,28 @@ def _monomial_prechecked(lanes: bytes, n: int, count: int, bits: int) -> list[in
             t = t - prev + bias
             extended.append(t)
         diagonal = extended
-        alive &= t - ones  # the lane's sign bit is set iff Δ^d w_0 >= 1
+        alive &= t
         if not alive:
             return []
-    signs = alive.to_bytes(count * width, "little")[width - 1::width]
+    tops = alive.to_bytes(count * width, "little")[width - 1::width]
     index = []
-    i = signs.find(0x80)
+    i = tops.find(0x80)
     while i >= 0:
         index.append(i)
-        i = signs.find(0x80, i + 1)
+        i = tops.find(0x80, i + 1)
     return index
 
 
-def _raw_count(rejects: list[int], m: int) -> int:
-    """Number of outputs of a block up to and including its m-th kept one,
-    i.e. those ``randint`` consumed to accept m values, given the ascending
-    positions of the block's rejected outputs."""
+def _raw_count(raw: bytes, g: int, m: int) -> int:
+    """Number of outputs of a superblock up to and including its m-th kept
+    one, i.e. those ``randint`` consumed to accept m values, read off the
+    top bytes of its g-byte lanes (0xff: rejected)."""
+    tops = raw[g - 1::g]
     r = 0  # the rejects before the m-th kept output, which sits at m - 1 + r
-    for pos in rejects:
-        if pos > m - 1 + r:
-            break
+    i = tops.find(0xFF)
+    while 0 <= i <= m - 1 + r:
         r += 1
+        i = tops.find(0xFF, i + 1)
     return m + r
 
 
@@ -213,52 +258,55 @@ def search_positive_weights(
     """Draw integer weight vectors from [lo, hi]^(n+1) until one converts to
     all-positive weights in all four bases.
 
-    Either a seed or an already-running generator must be supplied; passing
-    a generator lets several searches share one deterministic stream.
+    Exactly one of a seed and an already-running generator must be
+    supplied; passing a generator lets several searches share one
+    deterministic stream.
 
     The vectors, their order and the generator state afterwards are those
     of drawing each vector with n+1 calls of ``rng.randint(lo, hi)`` and
     stopping after the first vector that converts, or after ``max_iter``
-    vectors.  The stream is evaluated a block of outputs at a time, as
-    big-int lane arithmetic: ``_blocks`` yields the masked outputs with
-    ``randint``'s reject flags, the runs between rejected outputs are
-    joined into the accepted values, the vectors' columns are packed into
+    vectors.  The stream is evaluated a superblock of outputs at a time,
+    as big-int lane arithmetic: ``_superblocks`` yields the accepted
+    values packed in stream order, the vectors' columns are packed into
     one int each, and a pre-check on the leading forward differences of
     every vector at once drops those with a non-positive monomial
-    coefficient.  Python steps through the rejected outputs and the
-    surviving vectors only, and the survivors reach the exact conversion
-    in stream order.
+    coefficient.  The survivors, in stream order, are tested against the
+    integer rows of the cone (``cone._cone_rows``), and the first that
+    passes is certified by the exact conversion.
     """
     if n < 1:
         raise DomainError(f"degree must be >= 1, got {n}")
     check_search_bounds(lo, hi, max_iter)
+    if (seed is None) == (rng is None):
+        raise DomainError("exactly one of seed and rng must be given")
     if rng is None:
-        if seed is None:
-            raise DomainError("either seed or rng must be given")
         rng = SplitMix64(seed)
 
     k = n + 1
     span = hi - lo + 1
-    mask = (1 << (span - 1).bit_length()) - 1  # randint's covering range
-    bits = min(mask.bit_length(), 64)
-    pending = b""  # lanes of accepted values of a vector the block cut off
+    bits, g, shift = _lane_layout(span)
+    pending = b""  # accepted values of a vector the superblock cut off
     remaining = max_iter
-    for block in _blocks(rng._state, mask, span):
-        vals, rejects = _accepted(block, pending)
-        carried = len(pending) // LANE_BYTES
-        count = min(len(vals) // (k * LANE_BYTES), remaining)
-        # cheap integer pre-check; the exact conversion is the oracle
+    rows = None  # the cone's integer rows, built at the first survivor
+    for raw, kept in _superblocks(rng._state, span):
+        vals = pending + kept
+        carried = len(pending) // g
+        count = min(len(vals) // (k * g), remaining)
+        # the pre-check drops most vectors; the cone's integer rows decide
+        # the survivors exactly, and the exact conversion certifies the hit
         for i in _monomial_prechecked(vals, n, count, bits):
-            w = [lo + int.from_bytes(vals[j:j + LANE_BYTES], "little")
-                 for j in range(i * k * LANE_BYTES, (i + 1) * k * LANE_BYTES,
-                                LANE_BYTES)]
-            result = convert_bernstein_weights(n, w)
-            if result.all_positive:
-                rng.skip(_raw_count(rejects, (i + 1) * k - carried))
-                return result
+            w = [lo - shift + int.from_bytes(vals[j:j + g], "little")
+                 for j in range(i * k * g, (i + 1) * k * g, g)]
+            if rows is None:
+                rows = _cone_rows(n, lo)
+            if all(sum(map(operator.mul, a, w)) >= 1 for a in rows):
+                result = convert_bernstein_weights(n, w)
+                if result.all_positive:
+                    rng.skip(_raw_count(raw, g, (i + 1) * k - carried))
+                    return result
         remaining -= count
         if not remaining:
-            rng.skip(_raw_count(rejects, count * k - carried))
+            rng.skip(_raw_count(raw, g, count * k - carried))
             raise SearchExhaustedError(max_iter, seed)
-        pending = vals[count * k * LANE_BYTES:]
-        rng.skip(BLOCK)
+        pending = vals[count * k * g:]
+        rng.skip(len(raw) // g)

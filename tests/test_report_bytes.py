@@ -67,6 +67,15 @@ PINNED = [
     ("verify --part all --degrees 3 --seed 9 --max-iter 1000000 "
      "--format json --out verify.json",
      "8fd4a1c2a3728ec97617897f7bf3fffbf80b33279a55df0c6b690f6fa5a97737"),
+    # the benchmark's weight_search and verify_orderings jobs not pinned above
+    ("tables --which 3,4 --degrees 3,4,5 --seed 139 --format csv",
+     "f0f001e2e32ed3ea008911de81695e42bee8b1abd5601f403c6a0cc9bbf4614b"),
+    ("tables --which 3,4 --degrees 3,4,5 --seed 193 --format csv",
+     "bd37fa4521cdd7c8111d175df56d9f426ac58b9f57f03d029e71ca74d25db2c2"),
+    ("tables --which 3,4 --degrees 6 --max-iter 200000 --seed 82 --format csv",
+     "15e1ba4e425b48812af32bc890cf8ef2ec5f6a180849a1753787f0fef5ff3248"),
+    ("verify --part all --degrees 3,4,5 --seed 139 --format csv",
+     "53832aa831d95d2fd4535a60fcbc1502c890b09ffe16c4161e87d93e4ddc2c66"),
 ]
 
 
