@@ -104,7 +104,6 @@ def _emit(text: str, out_path: str | None) -> None:
 
 def _cmd_tables(args) -> int:
     from .experiments import (
-        DEFAULT_DP_VARIANT,
         check_goldens,
         check_inputs,
         render_report,
@@ -119,14 +118,13 @@ def _cmd_tables(args) -> int:
     check_inputs(config, which=which)
     rows = []
     weights = None
-    dp_variant = DEFAULT_DP_VARIANT
     if which & {1, 2}:
-        rows, dp_variant = run_table_1_2(config, which=which)
+        rows = run_table_1_2(config, which=which)
     if which & {3, 4}:
         rational_rows, weights = run_table_3_4(config, which=which)
         rows.extend(rational_rows)
-    _emit(render_report(rows, [], args.format, config,
-                        weights=weights, dp_variant=dp_variant), args.out)
+    _emit(render_report(rows, [], args.format, config, weights=weights),
+          args.out)
     mismatches = check_goldens(rows)
     for row, expected in mismatches:
         print(f"golden mismatch: table {row.table} n={row.degree} "

@@ -6,11 +6,12 @@ matrices for degrees 3..5) and checks the three optimality properties of
 the Bernstein basis against the Said-Ball, DP and rational bases, with
 exact comparisons for dominance/conditioning and certified enclosure
 comparisons for the spectral ordering.  ``BASES`` lists the compared
-bases, and κ∞ comes from ``cond_inf``.  The rational bases take their
-weights from the generator's stream and, where the stream runs dry, from
-the exact cone solver; ``rng`` and ``cone`` are imported on those paths
-only, so the plain tables load neither (annotations naming their types are
-never evaluated).
+bases, ``_bases`` builds each degree's matrices of them, κ∞ comes from
+``cond_inf``, and a report reads its md columns and DP label off its rows.
+The rational bases take their weights from the generator's stream and,
+where the stream runs dry, from the exact cone solver; ``rng`` and
+``cone`` are imported on those paths only, so the plain tables load
+neither (annotations naming their types are never evaluated).
 """
 
 from __future__ import annotations
@@ -81,19 +82,16 @@ BASES = (("M", BasisFamily.BERNSTEIN, "bernstein"),
          ("B1", BasisFamily.SAID_BALL, "saidball"),
          ("B2", BasisFamily.DP, "dp"),
          ("B3", BasisFamily.MONOMIAL, "monomial"))
-PLAIN_BASES = BASES[:3]
-PLAIN_LABELS = tuple(lab for lab, _, _ in PLAIN_BASES)
-RATIONAL_LABELS = tuple(lab + "_T" for lab, _, _ in BASES)
 
-# md layout: table -> ((quantity, (metric, column suffix) pairs),
-#                       (basis group, family labels))
+# md layout: table -> (quantity, (metric, column suffix) pairs, basis
+# group); the columns are the family labels of the table's rows
 _SPECTRAL = ("minimal eigenvalue and singular value",
              (("lambda_min", " λmin"), ("sigma_min", " σmin")))
 _KAPPA = ("infinity condition number", (("kappa_inf", ""),))
-_PLAIN = ("Kronecker squares", PLAIN_LABELS)
-_RATIONAL = ("rational bases", RATIONAL_LABELS)
-MD_TABLES = {1: (_SPECTRAL, _PLAIN), 2: (_KAPPA, _PLAIN),
-             3: (_SPECTRAL, _RATIONAL), 4: (_KAPPA, _RATIONAL)}
+MD_TABLES = {1: (*_SPECTRAL, "Kronecker squares"),
+             2: (*_KAPPA, "Kronecker squares"),
+             3: (*_SPECTRAL, "rational bases"),
+             4: (*_KAPPA, "rational bases")}
 
 
 class ExperimentConfig(namedtuple("ExperimentConfig",
@@ -160,11 +158,17 @@ def _golden(table: int, n: int, label: str, metric: str) -> str | None:
     return None
 
 
-def _grid_matrix(family: BasisFamily, n: int, weights=None,
-                 dp_literal_middle: bool = False) -> Matrix:
-    spec = BasisSpec(family, n, weights=weights,
-                     dp_literal_middle=dp_literal_middle)
-    return collocation_matrix(spec, standard_nodes(n))
+def _bases(n: int, conv: WeightConversionResult | None = None,
+           literal: bool = False) -> list[tuple[str, BasisFamily, Matrix]]:
+    """Degree n's compared bases as (label, family, collocation matrix),
+    the Bernstein reference first: without ``conv`` the three plain bases,
+    DP taking the literal printed formula only when ``literal``; with
+    ``conv`` the four rational bases on its weights, labelled ``_T``."""
+    picked, suffix = (BASES[:3], "") if conv is None else (BASES, "_T")
+    return [(label + suffix, family, collocation_matrix(BasisSpec(
+        family, n, weights=None if conv is None else getattr(conv, field),
+        dp_literal_middle=literal and family is BasisFamily.DP),
+        standard_nodes(n))) for label, family, field in picked]
 
 
 def _tightened(rep: SpectralReport, tol: Fraction):
@@ -206,12 +210,6 @@ def _kappa_row(table: int, n: int, label: str, x: Matrix) -> TableRow:
                     sci_notation(kappa, SIG_DIGITS[table]), exact=kappa)
 
 
-def _in_table(table: int, label: str, full: bool) -> bool:
-    """Whether ``label`` has columns in ``table``: the B2_T spectral
-    columns of table 3 only with ``full``."""
-    return full or (table, label) != (3, "B2_T")
-
-
 def _dp_literal(n: int) -> bool:
     """Whether degree n's DP columns take the literal printed formula: the
     paper's published DP values come from that formula, which differs
@@ -219,27 +217,29 @@ def _dp_literal(n: int) -> bool:
     return n % 2 == 1 and (n, "B2") in GOLDEN_TABLE2
 
 
-def run_table_1_2(config: ExperimentConfig, which=(1, 2)
-                  ) -> tuple[list[TableRow], str]:
-    """Rows of the plain-basis tables in ``which`` (1, 2 or both) plus the
-    DP variant that was used.
+def _dp_variant(rows: list[TableRow]) -> str:
+    """The report's DP label: "literal" when some table-1/2 row's degree
+    took the printed formula, the partition-of-unity corrected one
+    otherwise."""
+    literal = any(r.table in (1, 2) and _dp_literal(r.degree) for r in rows)
+    return "literal" if literal else DEFAULT_DP_VARIANT
+
+
+def run_table_1_2(config: ExperimentConfig, which=(1, 2)) -> list[TableRow]:
+    """Rows of the plain-basis tables in ``which`` (1, 2 or both).
 
     The DP columns of a degree take the literal printed formula where
     ``_dp_literal`` says so, and the partition-of-unity corrected one
-    elsewhere; the variant reads "literal" when any degree took the
-    printed formula.
+    elsewhere.
     """
     rows: list[TableRow] = []
     for n in config.degrees:
-        for label, family, _ in PLAIN_BASES:
-            x = _grid_matrix(family, n, dp_literal_middle=(
-                family is BasisFamily.DP and _dp_literal(n)))
+        for label, _, x in _bases(n, literal=_dp_literal(n)):
             if 1 in which:
                 rows.extend(_spectral_rows(1, n, label, x))
             if 2 in which:
                 rows.append(_kappa_row(2, n, label, x))
-    literal = any(map(_dp_literal, config.degrees))
-    return rows, "literal" if literal else DEFAULT_DP_VARIANT
+    return rows
 
 
 def _positive_weights(n: int, config: ExperimentConfig,
@@ -282,12 +282,10 @@ def run_table_3_4(
     weights: dict[int, WeightConversionResult] = {}
     for n in config.degrees:
         conv = weights[n] = _positive_weights(n, config, rng)
-        for label, family, field in BASES:
-            label += "_T"
-            x = _grid_matrix(family, n, weights=getattr(conv, field))
+        for label, _, x in _bases(n, conv):
             if 4 in which:
                 rows.append(_kappa_row(4, n, label, x))
-            if 3 in which and _in_table(3, label, config.full):
+            if 3 in which and (config.full or label != "B2_T"):
                 rows.extend(_spectral_rows(3, n, label, x))
     return rows, weights
 
@@ -339,25 +337,29 @@ def _conditioning_verdict(kappa_a: Fraction, kappa_m: Fraction):
     return False, (kappa_m, kappa_a)
 
 
-def _pair_verdicts(n: int, variant: str, m: Matrix,
-                   pairs: list[tuple[str, Matrix]],
+def _pair_verdicts(n: int, variant: str,
+                   bases: list[tuple[str, BasisFamily, Matrix]],
                    parts: tuple[str, ...]) -> list[OrderingVerdict]:
-    """Verdicts of ``parts`` for each (pair, a) in ``pairs`` against the
-    reference collocation matrix ``m``, pair by pair, parts in the order
-    i, ii, iii.  Each part is a row (record name, fact, predicate): the
-    fact is read off each matrix, the reference's once, and the predicate
-    gives (holds, witness) from the two: dominance (i) reads the inverse,
-    the spectral ordering (ii) the spectral report, and conditioning (iii)
-    kappa_inf from ``cond_inf``, which forms no inverse."""
+    """Verdicts of ``parts`` for each basis of the ``_bases`` list
+    ``bases`` against its first, the Bernstein reference, pair by pair,
+    parts in the order i, ii, iii.  Each part is a row (record name, fact,
+    predicate): the fact is read off each matrix, the reference's once,
+    and the predicate gives (holds, witness) from the two: dominance (i)
+    reads the inverse, the spectral ordering (ii) the spectral report, and
+    conditioning (iii) kappa_inf from ``cond_inf``, which forms no
+    inverse."""
     # built per call, so that it holds the functions' current bindings
     table = {"i": ("dominance", inverse, _dominance_verdict),
              "ii": ("spectral_ordering", spectral_report, _spectral_verdict),
              "iii": ("conditioning_ordering", cond_inf,
                      _conditioning_verdict)}
+    p = "rational " if variant == "rational" else ""
+    (_, _, m), *others = bases
     steps = [(name, fact, verdict, fact(m))
              for part, (name, fact, verdict) in table.items() if part in parts]
-    return [OrderingVerdict(name, n, pair, variant, *verdict(fact(a), ref))
-            for pair, a in pairs for name, fact, verdict, ref in steps]
+    return [OrderingVerdict(name, n, f"{p}{family.value} vs {p}bernstein",
+                            variant, *verdict(fact(a), ref))
+            for _, family, a in others for name, fact, verdict, ref in steps]
 
 
 def verify_orderings(
@@ -375,20 +377,13 @@ def verify_orderings(
     exhausted: list[SearchExhaustedError] = []
     rng = SplitMix64(config.seed)
     for n in config.degrees:
-        m = _grid_matrix(BasisFamily.BERNSTEIN, n)
-        verdicts += _pair_verdicts(n, "plain", m, [
-            (f"{family.value} vs bernstein", _grid_matrix(family, n))
-            for _, family, _ in PLAIN_BASES[1:]], parts)
+        verdicts += _pair_verdicts(n, "plain", _bases(n), parts)
         try:
             conv = _positive_weights(n, config, rng)
         except SearchExhaustedError as exc:
             exhausted.append(exc)
             continue
-        m = _grid_matrix(BasisFamily.BERNSTEIN, n, weights=conv.bernstein)
-        verdicts += _pair_verdicts(n, "rational", m, [
-            (f"rational {family.value} vs rational bernstein",
-             _grid_matrix(family, n, weights=getattr(conv, field)))
-            for _, family, field in BASES[1:]], parts)
+        verdicts += _pair_verdicts(n, "rational", _bases(n, conv), parts)
     return verdicts, exhausted
 
 
@@ -417,16 +412,16 @@ def _weight_strings(conv: WeightConversionResult) -> dict[str, list[str]]:
             for name, vec in zip(conv._fields, conv) if name != "all_positive"}
 
 
-def _render_md(rows, verdicts, config, weights, dp_variant) -> str:
-    lines = [f"# Totally positive basis conditioning report",
-             "", f"dp_variant: {dp_variant}", ""]
+def _render_md(rows, verdicts, weights) -> str:
+    lines = ["# Totally positive basis conditioning report",
+             "", f"dp_variant: {_dp_variant(rows)}", ""]
     degrees = sorted({r.degree for r in rows})
     values = {(r.table, r.degree, r.family_label, r.metric): r.decimal
               for r in rows}
     for table in sorted({r.table for r in rows}):
-        (quantity, metrics), (group, all_labels) = MD_TABLES[table]
-        labels = [lab for lab in all_labels
-                  if _in_table(table, lab, config.full)]
+        quantity, metrics, group = MD_TABLES[table]
+        labels = list(dict.fromkeys(r.family_label for r in rows
+                                    if r.table == table))
         lines += [f"## Table {table}: {quantity} ({group})", ""]
         header = ["n"] + [lab + suffix for lab in labels
                           for _, suffix in metrics]
@@ -470,7 +465,7 @@ def _enc_json(enc: RootEnclosure | None):
     return {"low": fraction_str(enc.low), "high": fraction_str(enc.high)}
 
 
-def _render_json(rows, verdicts, config, weights, dp_variant) -> str:
+def _render_json(rows, verdicts, config, weights) -> str:
     import json  # only the JSON report needs it
 
     doc = {
@@ -484,7 +479,7 @@ def _render_json(rows, verdicts, config, weights, dp_variant) -> str:
             "sig_digits_table1": SIG_DIGITS[1],
             "sig_digits_table2": SIG_DIGITS[2],
         },
-        "dp_variant": dp_variant,
+        "dp_variant": _dp_variant(rows),
         "weights": {
             str(n): _weight_strings(conv)
             for n, conv in sorted((weights or {}).items())
@@ -517,11 +512,11 @@ def _render_json(rows, verdicts, config, weights, dp_variant) -> str:
 
 
 def render_report(rows, verdicts, fmt, config: ExperimentConfig,
-                  weights=None, dp_variant: str = DEFAULT_DP_VARIANT) -> str:
+                  weights=None) -> str:
     if fmt == "md":
-        return _render_md(rows, verdicts, config, weights, dp_variant)
+        return _render_md(rows, verdicts, weights)
     if fmt == "csv":
         return _render_csv(rows, verdicts, weights)
     if fmt == "json":
-        return _render_json(rows, verdicts, config, weights, dp_variant)
+        return _render_json(rows, verdicts, config, weights)
     raise ValueError(f"unknown output format {fmt!r}")

@@ -18,6 +18,7 @@ from tpbases.experiments import (
     ExperimentConfig,
     GOLDEN_TABLE1,
     GOLDEN_TABLE2,
+    _dp_variant,
     run_table_1_2,
     run_table_3_4,
     verify_orderings,
@@ -52,7 +53,7 @@ def report(criterion, ok, detail=""):
 
 def test_criterion_1_table1_reproduction():
     start = time.monotonic()
-    rows, dp_variant = run_table_1_2(ExperimentConfig())
+    rows = run_table_1_2(ExperimentConfig())
     values = {(r.degree, r.family_label, r.metric): r.decimal
               for r in rows if r.table == 1}
     ok = True
@@ -62,12 +63,12 @@ def test_criterion_1_table1_reproduction():
     elapsed = time.monotonic() - start
     ok &= elapsed < 60
     report("criterion 1: all 18 table-1 values at 3 significant digits",
-           ok, f"dp_variant={dp_variant}, {elapsed:.1f}s")
+           ok, f"dp_variant={_dp_variant(rows)}, {elapsed:.1f}s")
 
 
 def test_criterion_2_table2_reproduction():
     start = time.monotonic()
-    rows, _ = run_table_1_2(ExperimentConfig())
+    rows = run_table_1_2(ExperimentConfig())
     values = {(r.degree, r.family_label): r.decimal
               for r in rows if r.table == 2}
     ok = all(values[key] == expected
@@ -199,10 +200,10 @@ def test_criterion_8_determinism():
     config = ExperimentConfig()
 
     def run():
-        plain_rows, dp_variant = run_table_1_2(config)
+        plain_rows = run_table_1_2(config)
         rational_rows, weights = run_table_3_4(config)
         return render_report(plain_rows + rational_rows, [], "json", config,
-                             weights=weights, dp_variant=dp_variant)
+                             weights=weights)
 
     ok = run() == run()
     report("criterion 8: byte-identical reports for identical config", ok)
@@ -211,7 +212,7 @@ def test_criterion_8_determinism():
 def test_tables_1_2_render_unambiguously():
     # supporting check: every rendered decimal is reproducible from the
     # enclosure endpoints alone (no midpoint guessing)
-    rows, _ = run_table_1_2(ExperimentConfig())
+    rows = run_table_1_2(ExperimentConfig())
     for r in rows:
         if r.enclosure is not None:
             rendered = render_enclosure(r.enclosure, 3,

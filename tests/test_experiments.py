@@ -12,6 +12,7 @@ from tpbases.experiments import (
     ExperimentConfig,
     GOLDEN_TABLE1,
     GOLDEN_TABLE2,
+    TableRow,
     _conditioning_verdict,
     _dominance_verdict,
     _kron_report_rendered,
@@ -59,15 +60,14 @@ def test_sci_notation():
 
 
 def test_plain_tables_match_goldens(plain_run):
-    rows, dp_variant = plain_run
-    assert check_goldens(rows) == []
-    assert dp_variant == "literal"
+    assert check_goldens(plain_run) == []
+    assert experiments._dp_variant(plain_run) == "literal"
 
 
 def test_dp_takes_the_printed_formula_at_odd_published_degrees():
     assert [n for n in range(1, 12) if experiments._dp_literal(n)] == [3, 5]
-    assert run_table_1_2(ExperimentConfig(degrees=(4,)), which=(2,))[1] \
-        == "unity-corrected"
+    assert experiments._dp_variant(run_table_1_2(
+        ExperimentConfig(degrees=(4,)), which=(2,))) == "unity-corrected"
 
 
 def test_table_1_alone_computes_no_condition_number(monkeypatch):
@@ -78,9 +78,8 @@ def test_table_1_alone_computes_no_condition_number(monkeypatch):
         return cond_inf(x)
 
     monkeypatch.setattr(experiments, "cond_inf", counted)
-    rows, dp_variant = run_table_1_2(ExperimentConfig(degrees=(3,)),
-                                     which=(1,))
-    assert calls == [] and dp_variant == "literal"
+    rows = run_table_1_2(ExperimentConfig(degrees=(3,)), which=(1,))
+    assert calls == [] and experiments._dp_variant(rows) == "literal"
     assert check_goldens(rows) == []
     run_table_1_2(ExperimentConfig(degrees=(3,)), which=(2,))
     assert len(calls) == 3  # one per plain basis
@@ -89,27 +88,35 @@ def test_table_1_alone_computes_no_condition_number(monkeypatch):
 @pytest.mark.parametrize("fmt", ["md", "csv", "json"])
 def test_reports_end_with_one_newline(fmt, plain_run, rational_run):
     config = ExperimentConfig()
-    (plain_rows, dp_variant), (rational_rows, weights) = plain_run, rational_run
+    rational_rows, weights = rational_run
     for report in (render_report([], [], fmt, config),
-                   render_report(plain_rows + rational_rows, [], fmt, config,
-                                 weights=weights, dp_variant=dp_variant)):
+                   render_report(plain_run + rational_rows, [], fmt, config,
+                                 weights=weights)):
         assert report.endswith("\n") and not report.endswith("\n\n")
 
 
 def test_table2_md_row(plain_run):
-    rows, dp_variant = plain_run
     config = ExperimentConfig()
-    report = render_report([r for r in rows if r.table == 2], [], "md", config,
-                           dp_variant=dp_variant)
+    report = render_report([r for r in plain_run if r.table == 2], [], "md",
+                           config)
     assert "| 3 | 5.1883e+02 | 1.7361e+03 | 7.1797e+03 |" in report
     assert "dp_variant: literal" in report
 
 
+def test_md_columns_are_the_family_labels_of_the_rows():
+    rows = [TableRow(3, 4, label, metric, "1.00e+00")
+            for label in ("M_T", "B3_T")
+            for metric in ("lambda_min", "sigma_min")]
+    report = render_report(rows, [], "md", ExperimentConfig()).splitlines()
+    assert report[6:9] == [
+        "| n | M_T λmin | M_T σmin | B3_T λmin | B3_T σmin |",
+        "|---|---|---|---|---|",
+        "| 4 | 1.00e+00 | 1.00e+00 | 1.00e+00 | 1.00e+00 |"]
+
+
 def test_json_schema(plain_run):
-    rows, dp_variant = plain_run
     config = ExperimentConfig()
-    doc = json.loads(render_report(rows, [], "json", config,
-                                   dp_variant=dp_variant))
+    doc = json.loads(render_report(plain_run, [], "json", config))
     assert doc["dp_variant"] == "literal"
     assert doc["config"]["seed"] == config.seed
     kappa = next(r for r in doc["rows"]
@@ -175,6 +182,23 @@ def test_verify_all_parts_hold(n):
     assert exhausted == []
     assert len(verdicts) == 15  # 5 pairs x 3 parts
     assert all(v.holds is True for v in verdicts)
+
+
+def test_verify_compares_normalized_bases_only(monkeypatch):
+    # the printed DP formula of odd degrees is not normalized (at n = 3 its
+    # functions sum to 1 + x(1 - x)); verify keeps the corrected one there
+    seen = []
+
+    def recorded(x):
+        seen.append(x)
+        return cond_inf(x)
+
+    monkeypatch.setattr(experiments, "cond_inf", recorded)
+    verdicts, exhausted = verify_orderings(ExperimentConfig(degrees=(3, 5)),
+                                           parts=("iii",))
+    assert exhausted == [] and all(v.holds is True for v in verdicts)
+    assert len(seen) == 14  # per degree 3 plain and 4 rational matrices
+    assert all(sum(row) == 1 for x in seen for row in x)
 
 
 def test_coarse_reports_are_tightened_in_place(monkeypatch):
