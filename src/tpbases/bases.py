@@ -4,6 +4,19 @@ Four families are supported: Bernstein, Said-Ball, DP and monomial.  All
 evaluation is exact over ``fractions.Fraction``; no floating point enters
 any code path in this module.
 
+Each family's row (u_0(x), ..., u_n(x)) is built in one place, with
+y = 1 - x and h = n // 2:
+
+- Bernstein: C(n, i) x^i y^(n-i); monomial: x^i.
+- Said-Ball and DP are symmetric, u_(n-i)(x) = u_i(y), so a row is the
+  left half at (x, y), the middle function(s), and the left half at
+  (y, x) reversed.  Said-Ball's left half is C(h+i, i) x^i y^(h+1) for
+  i < (n+1)/2, with the middle C(n, h) (xy)^h at even n and none at odd
+  n.  DP's left half is y^n, then x y^(n-i) for 1 <= i < h; its middle is
+  1 - x^(h+1) - y^(h+1) at even n, and at odd n, with m = (n+1)/2, the
+  pair x y^m + (1 - x^e - y^e)/2 and its mirror, e as below.  At n = 1
+  DP's ends override its middle, so its row is (y, x).
+
 The DP family has two variants for odd degree.  The published middle-
 function formula uses the exponent (n+1)/2 + 1 inside its bracket, which
 breaks the partition of unity (for n=3 the functions sum to 1 + x(1-x)).
@@ -68,47 +81,33 @@ def binomial(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-def _bernstein(n: int, i: int, x: Fraction) -> Fraction:
-    return binomial(n, i) * x**i * (1 - x) ** (n - i)
-
-
-def _said_ball(n: int, i: int, x: Fraction) -> Fraction:
+def _plain_row(family: BasisFamily, n: int, x: Fraction,
+               literal: bool) -> list[Fraction]:
+    """(u_0(x), ..., u_n(x)) of the plain family, by the module's rules."""
+    y = 1 - x
     h = n // 2
-    if i <= (n - 1) // 2:
-        return binomial(h + i, i) * x**i * (1 - x) ** (h + 1)
-    if n % 2 == 0 and i == n // 2:
-        return binomial(n, n // 2) * x ** (n // 2) * (1 - x) ** (n // 2)
-    return _said_ball(n, n - i, 1 - x)
-
-
-def _dp_odd_middle(n: int, x: Fraction, literal: bool) -> Fraction:
-    m = (n + 1) // 2
-    e = m + 1 if literal else m
-    return x * (1 - x) ** m + Fraction(1, 2) * (1 - x**e - (1 - x) ** e)
-
-
-def _dp(n: int, i: int, x: Fraction, literal: bool) -> Fraction:
-    if i == 0:
-        return (1 - x) ** n
-    if i == n:
-        return x**n
-    if 1 <= i <= n // 2 - 1:
-        return x * (1 - x) ** (n - i)
-    if (n + 1) // 2 + 1 <= i <= n - 1:
-        return x**i * (1 - x)
-    if n % 2 == 0:  # i == n/2
-        return 1 - x ** (n // 2 + 1) - (1 - x) ** (n // 2 + 1)
-    if i == (n - 1) // 2:
-        return _dp_odd_middle(n, x, literal)
-    return _dp_odd_middle(n, 1 - x, literal)  # i == (n+1)/2
-
-
-_PLAIN_EVAL = {
-    BasisFamily.BERNSTEIN: lambda n, i, x, lit: _bernstein(n, i, x),
-    BasisFamily.SAID_BALL: lambda n, i, x, lit: _said_ball(n, i, x),
-    BasisFamily.DP: _dp,
-    BasisFamily.MONOMIAL: lambda n, i, x, lit: x**i,
-}
+    if family is BasisFamily.BERNSTEIN:
+        return [binomial(n, i) * x**i * y ** (n - i) for i in range(n + 1)]
+    if family is BasisFamily.MONOMIAL:
+        return [x**i for i in range(n + 1)]
+    if family is BasisFamily.SAID_BALL:
+        def half(a, b):
+            return [binomial(h + i, i) * a**i * b ** (h + 1)
+                    for i in range((n + 1) // 2)]
+        middle = [binomial(n, h) * (x * y) ** h] if n % 2 == 0 else []
+    elif n == 1:  # DP's ends override its middle
+        return [y, x]
+    else:
+        def half(a, b):
+            return [b**n] + [a * b ** (n - i) for i in range(1, h)]
+        if n % 2 == 0:
+            middle = [1 - x ** (h + 1) - y ** (h + 1)]
+        else:
+            m = (n + 1) // 2
+            e = m + 1 if literal else m
+            middle = [a * b**m + Fraction(1, 2) * (1 - a**e - b**e)
+                      for a, b in ((x, y), (y, x))]
+    return half(x, y) + middle + half(y, x)[::-1]
 
 
 def _check_point(x: Fraction) -> Fraction:
@@ -128,12 +127,8 @@ def eval_basis_function(spec: BasisSpec, i: int, x: Fraction) -> Fraction:
 
 def eval_basis_row(spec: BasisSpec, x: Fraction) -> list[Fraction]:
     """All basis function values (u_0(x), ..., u_n(x)) at one point."""
-    x = _check_point(x)
-    plain = _PLAIN_EVAL[spec.family]
-    row = [
-        plain(spec.degree, i, x, spec.dp_literal_middle)
-        for i in range(spec.degree + 1)
-    ]
+    row = _plain_row(spec.family, spec.degree, _check_point(x),
+                     spec.dp_literal_middle)
     if spec.weights is None:
         return row
     weighted = [w * v for w, v in zip(spec.weights, row)]

@@ -8,10 +8,10 @@ exact comparisons for dominance/conditioning and certified enclosure
 comparisons for the spectral ordering.  ``BASES`` lists the compared
 bases, ``_bases`` builds each degree's matrices of them, κ∞ comes from
 ``cond_inf``, and a report reads its md columns and DP label off its rows.
-The rational bases take their weights from the generator's stream and,
-where the stream runs dry, from the exact cone solver; ``rng`` and
-``cone`` are imported on those paths only, so the plain tables load
-neither (annotations naming their types are never evaluated).
+The rational bases take their weights from ``_weights``: the stream and,
+where it runs dry, the exact cone solver; only it and ``check_inputs``
+import ``rng`` and ``cone``, so the plain tables load neither
+(annotations naming their types are never evaluated).
 """
 
 from __future__ import annotations
@@ -242,46 +242,46 @@ def run_table_1_2(config: ExperimentConfig, which=(1, 2)) -> list[TableRow]:
     return rows
 
 
-def _positive_weights(n: int, config: ExperimentConfig,
-                      rng: SplitMix64) -> WeightConversionResult:
-    """Weights for degree n from the generator's stream, or, once the
-    stream has spent ``config.max_iter`` weight vectors, from the exact
-    cone solver; raises ``SearchExhaustedError`` when neither finds any.
-    Weights from the solver are announced on stderr."""
+def _weights(config: ExperimentConfig):
+    """(n, weights) for each degree of the grid, in order.  One generator
+    seeded from the config is consumed sequentially across the degrees, so
+    the whole grid is reproducible from the seed alone; once the stream has
+    spent ``config.max_iter`` weight vectors for a degree, the exact cone
+    solver supplies its weights, announced on stderr, and where neither
+    finds any the degree's entry is (n, ``SearchExhaustedError``)."""
     from .cone import NoIntegerPoint, cone_weights
-    from .rng import search_positive_weights
+    from .rng import SplitMix64, search_positive_weights
 
-    try:
-        return search_positive_weights(n, WEIGHT_LO, WEIGHT_HI,
-                                       max_iter=config.max_iter, rng=rng)
-    except SearchExhaustedError:
-        found = cone_weights(n, WEIGHT_LO, WEIGHT_HI)
-    if isinstance(found, NoIntegerPoint):
-        raise SearchExhaustedError(config.max_iter, config.seed, found)
-    print(f"degree {n}: weights from the exact cone solver; the stream "
-          f"spent its {config.max_iter} weight vectors (seed={config.seed})",
-          file=sys.stderr)
-    return found
+    rng = SplitMix64(config.seed)
+    for n in config.degrees:
+        try:
+            found = search_positive_weights(n, WEIGHT_LO, WEIGHT_HI,
+                                            max_iter=config.max_iter, rng=rng)
+        except SearchExhaustedError:
+            found = cone_weights(n, WEIGHT_LO, WEIGHT_HI)
+            if isinstance(found, NoIntegerPoint):
+                found = SearchExhaustedError(config.max_iter, config.seed,
+                                             found)
+            else:
+                print(f"degree {n}: weights from the exact cone solver; the "
+                      f"stream spent its {config.max_iter} weight vectors "
+                      f"(seed={config.seed})", file=sys.stderr)
+        yield n, found
 
 
 def run_table_3_4(
     config: ExperimentConfig, which=(3, 4)
 ) -> tuple[list[TableRow], dict[int, WeightConversionResult]]:
     """Rows of the rational-basis tables in ``which`` (3, 4 or both) plus
-    the weights behind them.
-
-    One deterministic generator seeded from the config is consumed
-    sequentially across the degrees, so the whole grid is reproducible
-    from the seed alone.  A degree without weights raises
-    ``SearchExhaustedError``.
+    the weights behind them, drawn by ``_weights``.  A degree without
+    weights raises ``SearchExhaustedError``.
     """
-    from .rng import SplitMix64
-
-    rng = SplitMix64(config.seed)
     rows: list[TableRow] = []
     weights: dict[int, WeightConversionResult] = {}
-    for n in config.degrees:
-        conv = weights[n] = _positive_weights(n, config, rng)
+    for n, conv in _weights(config):
+        if isinstance(conv, SearchExhaustedError):
+            raise conv
+        weights[n] = conv
         for label, _, x in _bases(n, conv):
             if 4 in which:
                 rows.append(_kappa_row(4, n, label, x))
@@ -371,19 +371,14 @@ def verify_orderings(
     Returns the verdicts and, one per degree that found no weights, the
     search's error; such a degree has its plain verdicts only.
     """
-    from .rng import SplitMix64
-
     verdicts: list[OrderingVerdict] = []
     exhausted: list[SearchExhaustedError] = []
-    rng = SplitMix64(config.seed)
-    for n in config.degrees:
+    for n, conv in _weights(config):
         verdicts += _pair_verdicts(n, "plain", _bases(n), parts)
-        try:
-            conv = _positive_weights(n, config, rng)
-        except SearchExhaustedError as exc:
-            exhausted.append(exc)
-            continue
-        verdicts += _pair_verdicts(n, "rational", _bases(n, conv), parts)
+        if isinstance(conv, SearchExhaustedError):
+            exhausted.append(conv)
+        else:
+            verdicts += _pair_verdicts(n, "rational", _bases(n, conv), parts)
     return verdicts, exhausted
 
 

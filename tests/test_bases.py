@@ -117,14 +117,26 @@ def test_dp_row_partition_of_unity_odd_degree():
     assert sum(row) == 1
 
 
-def test_dp_literal_middle_breaks_partition_of_unity():
-    spec = BasisSpec(BasisFamily.DP, 3, dp_literal_middle=True)
-    x = F(1, 3)
-    assert sum(eval_basis_row(spec, x)) == 1 + x * (1 - x)
+@pytest.mark.parametrize("n", range(3, 26, 2))
+def test_dp_literal_middle_breaks_partition_of_unity(n):
+    # the printed exponent m + 1 adds x(1-x)(x^(m-1) + (1-x)^(m-1)) to the sum
+    spec = BasisSpec(BasisFamily.DP, n, dp_literal_middle=True)
+    m = (n + 1) // 2
+    for x in [F(1, 3)] + random_points(3, seed=n):
+        assert sum(eval_basis_row(spec, x)) == \
+            1 + x * (1 - x) * (x ** (m - 1) + (1 - x) ** (m - 1))
+
+
+@pytest.mark.parametrize("n", range(2, 26, 2))
+def test_dp_literal_middle_is_inert_at_even_degree(n):
+    literal = BasisSpec(BasisFamily.DP, n, dp_literal_middle=True)
+    for x in [F(1, 3)] + random_points(3, seed=n):
+        assert eval_basis_row(literal, x) == \
+            eval_basis_row(BasisSpec(BasisFamily.DP, n), x)
 
 
 @pytest.mark.parametrize("family", NORMALIZED_FAMILIES)
-@pytest.mark.parametrize("degree", range(1, 9))
+@pytest.mark.parametrize("degree", range(1, 26))
 def test_partition_of_unity(family, degree):
     spec = BasisSpec(family, degree)
     for x in random_points(100):
@@ -141,33 +153,31 @@ def test_weighted_partition_of_unity(family, degree):
 
 
 @pytest.mark.parametrize("family", list(BasisFamily))
-@pytest.mark.parametrize("degree", range(1, 9))
+@pytest.mark.parametrize("degree", range(1, 26))
 def test_nonnegativity(family, degree):
     spec = BasisSpec(family, degree)
     for x in random_points(100, seed=5):
         assert all(v >= 0 for v in eval_basis_row(spec, x))
 
 
-@pytest.mark.parametrize("degree", range(1, 9))
+@pytest.mark.parametrize("degree", range(1, 26))
 def test_said_ball_symmetry(degree):
     spec = BasisSpec(BasisFamily.SAID_BALL, degree)
     for x in random_points(25, seed=degree):
-        for i in range(degree + 1):
-            assert eval_basis_function(spec, i, x) == \
-                eval_basis_function(spec, degree - i, 1 - x)
+        # u_i(x) == u_(n-i)(1 - x) for every i at once
+        assert eval_basis_row(spec, x) == eval_basis_row(spec, 1 - x)[::-1]
 
 
-@pytest.mark.parametrize("degree", range(1, 9))
+@pytest.mark.parametrize("degree", range(1, 26))
 def test_dp_symmetry(degree):
     spec = BasisSpec(BasisFamily.DP, degree)
     for x in random_points(25, seed=100 + degree):
-        for i in range(degree + 1):
-            assert eval_basis_function(spec, i, x) == \
-                eval_basis_function(spec, degree - i, 1 - x)
+        # u_i(x) == u_(n-i)(1 - x) for every i at once
+        assert eval_basis_row(spec, x) == eval_basis_row(spec, 1 - x)[::-1]
 
 
 @pytest.mark.parametrize("family", NORMALIZED_FAMILIES)
-@pytest.mark.parametrize("degree", range(1, 9))
+@pytest.mark.parametrize("degree", range(1, 26))
 def test_endpoint_cardinality(family, degree):
     spec = BasisSpec(family, degree)
     at0 = eval_basis_row(spec, F(0))

@@ -1,5 +1,6 @@
-"""The CLI's report bytes are pinned: a change to the spectral, ordering or
-rendering code must leave every byte of these reports the same.
+"""The CLI's report bytes are pinned: a change to the basis, spectral,
+ordering or rendering code must leave every byte of these reports the same.
+So are the library's basis rows and the exact hits of the root walk.
 
 The digests were recorded once and must never be re-recorded to make a
 change pass; a mismatch means the change altered the reports.  A report
@@ -7,11 +8,14 @@ written with ``--out`` is hashed from its file.
 """
 
 import hashlib
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from tpbases.bases import BasisFamily, BasisSpec, eval_basis_row
 from tpbases.cli import main
+from tpbases.spectral import isolate_real_roots, min_eigenvalue
 
 PINNED = [
     ("tables --which 1,2 --degrees 3,4,5 --format json",
@@ -76,6 +80,20 @@ PINNED = [
      "15e1ba4e425b48812af32bc890cf8ef2ec5f6a180849a1753787f0fef5ff3248"),
     ("verify --part all --degrees 3,4,5 --seed 139 --format csv",
      "53832aa831d95d2fd4535a60fcbc1502c890b09ffe16c4161e87d93e4ddc2c66"),
+    # single rows: Said-Ball at odd and even degree, DP's odd middles, its
+    # n = 1 ends, its even middle past the char-poly guard, and weights
+    ("eval --family said-ball --degree 3 --x 1/5",
+     "a6fb96124435919f20f53b684f4b312e3db36e5935fda1b6da9a221517341a05"),
+    ("eval --family said-ball --degree 8 --x 2/7",
+     "f9e3ec73c6d0bce2ccf97291c9be85b16ae32b3c3ee3638c78279b7aaffde94a"),
+    ("eval --family dp --degree 9 --x 3/11",
+     "2be86984b0c38fe15922dfa7fc99bd4f34061d72feec4ca129299736e8c31d9d"),
+    ("eval --family dp --degree 1 --x 1/3",
+     "978c4a09f8ff05ebecb0ef67c1c3cf6e07effb89128a331d16fd7cf511059d09"),
+    ("eval --family dp --degree 24 --x 5/26",
+     "5ee72a507190004dccee11b6e32e70401da5e7034193c8a7d7f7efdaa197b905"),
+    ("eval --family monomial --degree 5 --x 2/3 --weights 1,2,3,4,5,6",
+     "a4dd9dee61f3dccace228a0d8db4ef6f9bf43409d10f978d7f78665de6a64328"),
 ]
 
 
@@ -91,3 +109,29 @@ def test_report_bytes_are_pinned(command, digest, capsys, monkeypatch,
     else:
         report = capsys.readouterr().out.encode("utf-8")
     assert hashlib.sha256(report).hexdigest() == digest
+
+
+def _digest(lines) -> str:
+    return hashlib.sha256(("\n".join(lines) + "\n").encode()).hexdigest()
+
+
+def test_basis_rows_are_pinned():
+    # every family, n = 1..25, both DP formulas, at five points: 1000 rows
+    points = [Fraction(0), Fraction(1, 5), Fraction(1, 2), Fraction(7, 9),
+              Fraction(1)]
+    lines = [f"{family.value} {n} {literal} {x}: " + " ".join(
+                 f"{v.numerator}/{v.denominator}" for v in eval_basis_row(
+                     BasisSpec(family, n, dp_literal_middle=literal), x))
+             for family in BasisFamily for n in range(1, 26)
+             for literal in (False, True) for x in points]
+    assert _digest(lines) == \
+        "31785999bb3db27d71a3fb58d431a797d6a9306428ff7a67214fe0051a67abfa"
+
+
+def test_exact_hit_enclosures_are_pinned():
+    # roots the walk hits exactly: 1, 2, 3 and diagonal spectra
+    encs = isolate_real_roots([-6, 11, -6, 1]) + [
+        min_eigenvalue(m) for m in ([[1, 0, 0], [0, 2, 0], [0, 0, 3]],
+                                    [[0, 0], [0, 1]])]
+    assert _digest(f"{e.low} {e.high}" for e in encs) == \
+        "e95b8d436dcc4653a2229dca4c1c8c490517f90f406a62fee4b5816bd7f2f0db"
