@@ -2,11 +2,11 @@
 
 Exit codes: 0 success, 1 verification or golden-table failure, 2 bad
 input, 3 no weights found for some degree, neither by the stream nor by
-the exact cone solver (``verify`` still prints every verdict first).
+the exact cone solver (every row, weight and verdict found is printed).
 
 Each command imports what it runs: ``eval`` needs only the basis and
-rendering modules, so the experiment grid is imported inside the
-``tables`` and ``verify`` paths.  The CLI only turns argv into an
+rendering modules, so the experiment grid is imported inside the one
+handler of ``tables`` and ``verify``.  The CLI only turns argv into an
 ``ExperimentConfig``; ``experiments.check_inputs`` decides which checks a
 run needs and makes them before any table or verdict is computed.
 """
@@ -18,7 +18,7 @@ import os
 import sys
 
 from .bases import BasisFamily, BasisSpec, eval_basis_row
-from .errors import DEFAULT_SEARCH_MAX_ITER, DomainError, SearchExhaustedError
+from .errors import DEFAULT_SEARCH_MAX_ITER, DomainError
 from .render import fraction_str, parse_fraction
 
 EXIT_OK = 0
@@ -102,45 +102,35 @@ def _emit(text: str, out_path: str | None) -> None:
             raise DomainError(f"cannot write {out_path}: {exc.strerror}") from exc
 
 
-def _cmd_tables(args) -> int:
-    from .experiments import (
-        check_goldens,
-        check_inputs,
-        render_report,
-        run_table_1_2,
-        run_table_3_4,
-    )
+def _cmd_grid(args) -> int:
+    from .experiments import (check_goldens, check_inputs, render_report,
+                              run_table_1_2, run_table_3_4, verify_orderings)
 
-    which = set(_parse_int_list(args.which))
-    if not which or not which.issubset({1, 2, 3, 4}):
-        raise DomainError(f"--which must be a subset of 1,2,3,4, got {args.which!r}")
+    if args.command == "tables":
+        which, parts = set(_parse_int_list(args.which)), ()
+        if not which.issubset({1, 2, 3, 4}):
+            raise DomainError(
+                f"--which must be a subset of 1,2,3,4, got {args.which!r}")
+    else:
+        which = set()
+        parts = ("i", "ii", "iii") if args.part == "all" else (args.part,)
     config = _make_config(args)
-    check_inputs(config, which=which)
-    rows = []
-    weights = None
+    check_inputs(config, which=which, parts=parts)
+    rows, weights, verdicts, exhausted = [], None, [], []
     if which & {1, 2}:
         rows = run_table_1_2(config, which=which)
     if which & {3, 4}:
-        rational_rows, weights = run_table_3_4(config, which=which)
+        rational_rows, weights, exhausted = run_table_3_4(config, which=which)
         rows.extend(rational_rows)
-    _emit(render_report(rows, [], args.format, config, weights=weights),
+    if parts:
+        verdicts, exhausted = verify_orderings(config, parts=parts)
+    _emit(render_report(rows, verdicts, args.format, config, weights=weights),
           args.out)
     mismatches = check_goldens(rows)
     for row, expected in mismatches:
         print(f"golden mismatch: table {row.table} n={row.degree} "
               f"{row.family_label} {row.metric}: got {row.decimal}, "
               f"expected {expected}", file=sys.stderr)
-    return EXIT_VERIFICATION_FAILED if mismatches else EXIT_OK
-
-
-def _cmd_verify(args) -> int:
-    from .experiments import check_inputs, render_report, verify_orderings
-
-    parts = ("i", "ii", "iii") if args.part == "all" else (args.part,)
-    config = _make_config(args)
-    check_inputs(config, parts=parts)
-    verdicts, exhausted = verify_orderings(config, parts=parts)
-    _emit(render_report([], verdicts, args.format, config), args.out)
     failures = [v for v in verdicts if v.holds is not True]
     for v in failures:
         state = "indeterminate" if v.holds is None else "FALSE"
@@ -150,7 +140,7 @@ def _cmd_verify(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
     if exhausted:
         return EXIT_SEARCH_EXHAUSTED
-    return EXIT_VERIFICATION_FAILED if failures else EXIT_OK
+    return EXIT_VERIFICATION_FAILED if mismatches or failures else EXIT_OK
 
 
 def _cmd_eval(args) -> int:
@@ -172,14 +162,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        if args.command == "tables":
-            return _cmd_tables(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        return _cmd_eval(args)
-    except SearchExhaustedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SEARCH_EXHAUSTED
+        if args.command == "eval":
+            return _cmd_eval(args)
+        return _cmd_grid(args)
     except (DomainError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

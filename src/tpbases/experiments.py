@@ -271,23 +271,26 @@ def _weights(config: ExperimentConfig):
 
 def run_table_3_4(
     config: ExperimentConfig, which=(3, 4)
-) -> tuple[list[TableRow], dict[int, WeightConversionResult]]:
-    """Rows of the rational-basis tables in ``which`` (3, 4 or both) plus
-    the weights behind them, drawn by ``_weights``.  A degree without
-    weights raises ``SearchExhaustedError``.
+) -> tuple[list[TableRow], dict[int, WeightConversionResult],
+           list[SearchExhaustedError]]:
+    """Rows of the rational-basis tables in ``which`` (3, 4 or both), the
+    weights behind them, drawn by ``_weights``, and the search's error for
+    each degree without weights, which then has neither rows nor weights.
     """
     rows: list[TableRow] = []
     weights: dict[int, WeightConversionResult] = {}
+    exhausted: list[SearchExhaustedError] = []
     for n, conv in _weights(config):
         if isinstance(conv, SearchExhaustedError):
-            raise conv
+            exhausted.append(conv)
+            continue
         weights[n] = conv
         for label, _, x in _bases(n, conv):
             if 4 in which:
                 rows.append(_kappa_row(4, n, label, x))
             if 3 in which and (config.full or label != "B2_T"):
                 rows.extend(_spectral_rows(3, n, label, x))
-    return rows, weights
+    return rows, weights, exhausted
 
 
 def _dominance_verdict(inv_a: Matrix, inv_m: Matrix):

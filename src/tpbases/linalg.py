@@ -18,11 +18,16 @@ from .errors import DomainError, SingularMatrixError
 Matrix = list[list[Fraction]]
 
 
+def _nonempty(a: Matrix) -> Matrix:
+    """``a``, unless it has no row or no column."""
+    if not a or not a[0]:
+        raise DomainError("matrix must have at least one row and one column")
+    return a
+
+
 def as_matrix(rows) -> Matrix:
     """Coerce nested iterables to a well-formed rational matrix."""
-    out = [[Fraction(v) for v in row] for row in rows]
-    if not out or not out[0]:
-        raise DomainError("matrix must have at least one row and one column")
+    out = _nonempty([[Fraction(v) for v in row] for row in rows])
     width = len(out[0])
     if any(len(row) != width for row in out):
         raise DomainError("rows have inconsistent lengths")
@@ -52,7 +57,7 @@ def kronecker(a: Matrix, b: Matrix) -> Matrix:
 
 def inf_norm(a: Matrix) -> Fraction:
     """Max over rows of the sum of absolute entry values."""
-    return max(sum(abs(v) for v in row) for row in a)
+    return max(sum(abs(v) for v in row) for row in _nonempty(a))
 
 
 def _integer_rows(a: Matrix, rhs: Matrix) -> tuple[list[list[int]], list[int]]:
@@ -120,7 +125,7 @@ def cond_inf(a: Matrix) -> Fraction:
     scaled row over the scale, and A^-1 is the final right block over the
     last pivot, so no rational inverse is formed.
     """
-    n = len(a)
+    n = len(_nonempty(a))
     m, scales = _integer_rows(a, identity(n))
     norm = max(Fraction(sum(map(abs, row[:n])), s) for row, s in zip(m, scales))
     p, _ = _eliminate(m, n)

@@ -61,7 +61,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .errors import DomainError, SpectralAssumptionError
-from .linalg import Matrix
+from .linalg import Matrix, _nonempty
 
 CHAR_POLY_MAX_DIM = 24
 DEFAULT_TOL = Fraction(1, 10**30)
@@ -355,7 +355,7 @@ def char_poly(a: Matrix, scale: int = 1) -> Poly:
     formed: p_k = tr(N^i N^j) with i = floor(k/2) and j = ceil(k/2) is one
     inner product of N^i, read by rows, with N^j, read by columns.
     """
-    n = len(a)
+    n = len(_nonempty(a))
     if any(len(row) != n for row in a):
         raise DomainError("matrix must be square")
     check_char_poly_dim(n)

@@ -82,7 +82,7 @@ def test_criterion_2_table2_reproduction():
 @pytest.mark.parametrize("seed", ACCEPTANCE_SEEDS)
 def test_criterion_3_rational_orderings(seed):
     start = time.monotonic()
-    rows, _ = run_table_3_4(ExperimentConfig(seed=seed))
+    rows, _, _ = run_table_3_4(ExperimentConfig(seed=seed))
     ok = True
     for n in (3, 4, 5):
         kappas = {r.family_label: r.exact for r in rows
@@ -173,7 +173,7 @@ def test_criterion_7_spectral_soundness():
     for family, n in PLAIN_GRID:
         cases.append(collocation_matrix(BasisSpec(family, n),
                                         standard_nodes(n)))
-    _, weights = run_table_3_4(ExperimentConfig())
+    _, weights, _ = run_table_3_4(ExperimentConfig())
     for n, conv in weights.items():
         for family, wv in ((BasisFamily.BERNSTEIN, conv.bernstein),
                            (BasisFamily.SAID_BALL, conv.saidball),
@@ -201,7 +201,7 @@ def test_criterion_8_determinism():
 
     def run():
         plain_rows = run_table_1_2(config)
-        rational_rows, weights = run_table_3_4(config)
+        rational_rows, weights, _ = run_table_3_4(config)
         return render_report(plain_rows + rational_rows, [], "json", config,
                              weights=weights)
 

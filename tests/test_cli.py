@@ -102,6 +102,69 @@ def test_verify_keeps_going_after_a_degree_without_weights(capsys,
         == [["error", " degree 9"], ["error", " degree 10"]]
 
 
+def _csv_run(capsys, argv):
+    """The exit code, stdout lines and stderr lines of a csv report."""
+    code = main(argv + ["--format", "csv"])
+    captured = capsys.readouterr()
+    return code, captured.out.splitlines(), captured.err.splitlines()
+
+
+_SOLVER_3 = ("degree 3: weights from the exact cone solver; the stream "
+             "spent its 10 weight vectors (seed=137)")
+_NO_WEIGHTS_9 = ("error: degree 9: no all-positive weight system found "
+                 "within 10 weight vectors (seed=137); the exact solver "
+                 "proved that no integer point of [1, 1000]^10 lies in the "
+                 "cone (branch-and-bound nodes: 1)")
+
+
+def test_tables_print_every_row_found_before_a_degree_without_weights(
+        capsys, monkeypatch):
+    # degree 9 has no weights: its plain rows, and degree 3's rational rows
+    # and weights, are printed as the runs that leave degree 9's rational
+    # tables out print them
+    monkeypatch.delenv("TPB_SEED", raising=False)
+    code, out, err = _csv_run(capsys, ["tables", "--which", "1,2,3,4",
+                                       "--degrees", "3,9", "--max-iter", "10"])
+    plain = _csv_run(capsys, ["tables", "--which", "1,2", "--degrees", "3,9"])
+    rational = _csv_run(capsys, ["tables", "--which", "3,4", "--degrees", "3",
+                                 "--max-iter", "10"])
+    assert (plain[0], rational[0], code) == (0, 0, 3)
+    assert out == plain[1] + rational[1][1:]
+    assert rational[2] == [_SOLVER_3]
+    assert err == [_SOLVER_3, _NO_WEIGHTS_9]
+
+
+def test_a_degree_without_weights_decides_the_exit_code(capsys, monkeypatch):
+    # one rule for both commands: 3 for a degree without weights, even when
+    # a golden value or a verdict fails too; that line is printed last
+    import tpbases.experiments as experiments
+    from tpbases.errors import SearchExhaustedError
+    from tpbases.experiments import OrderingVerdict
+
+    monkeypatch.delenv("TPB_SEED", raising=False)
+    monkeypatch.setitem(experiments.GOLDEN_TABLE2, (3, "M"), "1.0000e+00")
+    code, _, err = _csv_run(capsys, ["tables", "--which", "2,4", "--degrees",
+                                     "3,9", "--max-iter", "10"])
+    assert code == 3
+    assert err == [_SOLVER_3,
+                   "golden mismatch: table 2 n=3 M kappa_inf: got "
+                   "5.1883e+02, expected 1.0000e+00",
+                   _NO_WEIGHTS_9]
+
+    def verdicts(config, parts):
+        return [OrderingVerdict("dominance", 3, "dp vs bernstein", "plain",
+                                False)], [SearchExhaustedError(10, 137)]
+
+    monkeypatch.setattr(experiments, "verify_orderings", verdicts)
+    code, out, err = _csv_run(capsys, ["verify", "--part", "i",
+                                       "--degrees", "3"])
+    assert code == 3
+    assert out[1:] == ["verdict,3,plain,dominance:dp vs bernstein,false"]
+    assert err == ["verdict FALSE: dominance n=3 dp vs bernstein (plain)",
+                   "error: no all-positive weight system found within 10 "
+                   "weight vectors (seed=137)"]
+
+
 def test_solver_weights_are_announced_on_stderr(capsys):
     # the stream spends its 1000 vectors at degree 6; the exact solver
     # supplies certified weights and the job succeeds

@@ -217,5 +217,5 @@ def test_the_stream_serves_the_documented_seeds_alone(seed, monkeypatch):
 
     # the experiment grid imports the solver from its module when it runs
     monkeypatch.setattr(cone, "cone_weights", no_solver)
-    _, weights = run_table_3_4(ExperimentConfig(seed=seed), which=(4,))
+    _, weights, _ = run_table_3_4(ExperimentConfig(seed=seed), which=(4,))
     assert sorted(weights) == [3, 4, 5]

@@ -88,7 +88,7 @@ def test_table_1_alone_computes_no_condition_number(monkeypatch):
 @pytest.mark.parametrize("fmt", ["md", "csv", "json"])
 def test_reports_end_with_one_newline(fmt, plain_run, rational_run):
     config = ExperimentConfig()
-    rational_rows, weights = rational_run
+    rational_rows, weights, _ = rational_run
     for report in (render_report([], [], fmt, config),
                    render_report(plain_run + rational_rows, [], fmt, config,
                                  weights=weights)):
@@ -131,7 +131,7 @@ def test_json_schema(plain_run):
 
 
 def test_csv_round_trip(rational_run):
-    rows, weights = rational_run
+    rows, weights, _ = rational_run
     config = ExperimentConfig()
     text = render_report(rows, [], "csv", config, weights=weights)
     records = [line.split(",") for line in text.strip().split("\n")]
@@ -140,7 +140,7 @@ def test_csv_round_trip(rational_run):
 
 
 def test_rational_orderings(rational_run):
-    rows, _ = rational_run
+    rows, _, _ = rational_run
     for n in (3, 4, 5):
         kappas = {r.family_label: r.exact for r in rows
                   if r.table == 4 and r.degree == n}
@@ -152,6 +152,17 @@ def test_rational_orderings(rational_run):
                     if r.table == 3 and r.degree == n and r.metric == metric}
             for other in ("B1_T", "B3_T"):
                 assert encs[other].high < encs["M_T"].low
+
+
+def test_a_degree_without_weights_leaves_the_others_their_rows():
+    # degree 9 has no weights in [1, 1000]; degree 3 takes the solver's
+    config = ExperimentConfig(degrees=(9, 3), max_iter=10)
+    rows, weights, exhausted = run_table_3_4(config)
+    assert {r.degree for r in rows} == {3}
+    assert weights == {n: conv for n, conv in experiments._weights(config)
+                       if n == 3}
+    assert [(e.solver.degree, e.solver.certified) for e in exhausted] == [
+        (9, True)]
 
 
 def test_rational_report_determinism():

@@ -133,6 +133,10 @@ def test_inverse_singular_reports_step():
     assert exc.value.step == 1
 
 
+def test_the_empty_inverse_and_determinant_are_defined():
+    assert inverse([]) == [] and det([]) == 1
+
+
 def test_cond_inf_examples():
     assert cond_inf(identity(4)) == 1
     assert cond_inf(as_matrix([[F(2, 3), F(1, 3)], [F(1, 3), F(2, 3)]])) == 3

@@ -10,7 +10,9 @@ from tpbases.errors import DomainError, SpectralAssumptionError
 from tpbases.linalg import (
     as_matrix,
     collocation_matrix,
+    cond_inf,
     identity,
+    inf_norm,
     inverse,
     kronecker,
 )
@@ -504,6 +506,15 @@ def test_min_eigenvalue_matches_sympy_real_roots(rows):
         rep = spectral_report(as_matrix(rows), TOL30)
         assert rep.all_eigs_real_positive == (min(real) > 0)
         assert rep.sigma_min_sq.low > 0
+
+
+@pytest.mark.parametrize("measure", [inf_norm, cond_inf, min_eigenvalue,
+                                     min_singular_value, spectral_report],
+                         ids=lambda f: f.__name__)
+def test_the_empty_matrix_is_outside_every_measure(measure):
+    with pytest.raises(DomainError, match="^matrix must have at least one "
+                       "row and one column$"):
+        measure([])
 
 
 def test_min_singular_value_permutation():
