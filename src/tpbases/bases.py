@@ -65,6 +65,7 @@ class BasisSpec(namedtuple("BasisSpec",
         if degree < 1:
             raise DomainError(f"degree must be >= 1, got {degree}")
         if weights is not None:
+            weights = tuple(Fraction(w) for w in weights)
             if len(weights) != degree + 1:
                 raise DomainError(
                     f"need {degree + 1} weights, got {len(weights)}"

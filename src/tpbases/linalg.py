@@ -1,6 +1,7 @@
 """Exact dense linear algebra over rational matrices.
 
-A matrix is a list of equal-length lists of ``fractions.Fraction``.  All
+A matrix is a list of equal-length lists of ``fractions.Fraction``; the
+measures read an int or float entry as the Fraction it equals.  All
 operations here are exact; floating point appears nowhere in this module.
 ``inverse``, ``solve`` and ``det`` share one elimination over the integers;
 ``is_totally_positive`` tests total nonnegativity by deleting derivations.
@@ -34,6 +35,14 @@ def as_matrix(rows) -> Matrix:
     return out
 
 
+def _exact(a: Matrix) -> Matrix:
+    """``a`` when every entry is an int or a Fraction, else ``as_matrix(a)``,
+    so that every measure reads a float as the Fraction it equals."""
+    if all(type(v) in (int, Fraction) for row in a for v in row):
+        return a
+    return as_matrix(a)
+
+
 def identity(n: int) -> Matrix:
     return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
 
@@ -57,7 +66,7 @@ def kronecker(a: Matrix, b: Matrix) -> Matrix:
 
 def inf_norm(a: Matrix) -> Fraction:
     """Max over rows of the sum of absolute entry values."""
-    return max(sum(abs(v) for v in row) for row in _nonempty(a))
+    return max(sum(abs(v) for v in row) for row in _exact(_nonempty(a)))
 
 
 def _integer_rows(a: Matrix, rhs: Matrix) -> tuple[list[list[int]], list[int]]:
@@ -66,6 +75,7 @@ def _integer_rows(a: Matrix, rhs: Matrix) -> tuple[list[list[int]], list[int]]:
     n = len(a)
     if any(len(row) != n for row in a):
         raise DomainError("matrix must be square")
+    a = _exact(a)
     rows, scales = [], []
     for row, aug in zip(a, rhs):
         s = math.lcm(*(v.denominator for v in row + aug))

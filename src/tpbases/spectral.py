@@ -2,14 +2,11 @@
 
 The pipeline is fully exact and has one path, and its core works on
 Python integers only.  ``char_poly`` clears the denominators of A once,
-N = d A, and runs Le Verrier's trace method on the integer matrix N: it
-forms N^2, ..., N^h, h = ceil(n/2), reads each power sum tr(N^k), k <= n,
-as one inner product of two of them, and recovers the coefficients by
-Newton's identities, whose division by k is exact because the
-characteristic polynomial of an integer matrix has integer coefficients.
-That is half the matrix products of the Faddeev-LeVerrier recurrence, on
-smaller entries.  Scaling back gives the monic rational coefficients of
-det(lambda I - A).
+N = d A, and runs Berkowitz's recurrence (Inform. Process. Lett. 18,
+1984) on the integer matrix N: the characteristic polynomial of each
+leading block of N is that of the block before it times a Toeplitz
+matrix of inner products over Z, so no step divides.  Scaling back gives
+the monic rational coefficients of det(lambda I - A).
 
 Roots are isolated with a Sturm chain over Z: p, p', then the negated
 primitive parts of |lc|^(delta+1)-scaled pseudo-remainders.  Every
@@ -61,7 +58,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .errors import DomainError, SpectralAssumptionError
-from .linalg import Matrix, _nonempty
+from .linalg import Matrix, _exact, _nonempty
 
 CHAR_POLY_MAX_DIM = 24
 DEFAULT_TOL = Fraction(1, 10**30)
@@ -331,6 +328,7 @@ def refine_root(enc: RootEnclosure, tol: Fraction) -> RootEnclosure:
 
 def _cleared(a: Matrix) -> tuple[int, list[list[int]]]:
     """d, the lcm of the entry denominators of A, and the integer matrix d A."""
+    a = _exact(a)
     d = math.lcm(*(x.denominator for row in a for x in row))
     return d, [[x.numerator * (d // x.denominator) for x in row] for row in a]
 
@@ -344,35 +342,32 @@ def check_char_poly_dim(n: int) -> None:
 
 
 def char_poly(a: Matrix, scale: int = 1) -> Poly:
-    """det(lambda I - A / scale), exact, by Le Verrier's trace method.
+    """det(lambda I - A / scale), exact, by Berkowitz's recurrence.
 
-    The method runs on the integer matrix N = d A, d the lcm of the entry
+    It runs on the integer matrix N = d A, d the lcm of the entry
     denominators; coefficient k of det(lambda I - N) is (d scale)^(n-k)
-    times that of det(lambda I - A / scale).  Its coefficients c_k (c_0 = 1)
-    follow from the power sums p_k = tr(N^k) by Newton's identities,
-    k c_k = -(c_(k-1) p_1 + ... + c_0 p_k), and the division by k is exact,
-    because c_k is an integer.  Only N^2, ..., N^h, h = ceil(n/2), are
-    formed: p_k = tr(N^i N^j) with i = floor(k/2) and j = ceil(k/2) is one
-    inner product of N^i, read by rows, with N^j, read by columns.
+    times that of det(lambda I - A / scale).  With N_r the leading r x r
+    block and R, C the row and column beside N[r][r], the coefficients of
+    det(lambda I - N_(r+1)), highest first, are those of det(lambda I - N_r)
+    times the lower-triangular Toeplitz matrix with first column 1,
+    -N[r][r], -R C, -R N_r C, ..., -R N_r^(r-1) C: no step divides.
     """
     n = len(_nonempty(a))
     if any(len(row) != n for row in a):
         raise DomainError("matrix must be square")
     check_char_poly_dim(n)
+    if not isinstance(scale, int) or scale < 1:
+        raise DomainError(f"scale must be a positive integer, got {scale!r}")
     d, big = _cleared(a)
-    cols = list(zip(*big))
-    powers = [big]
-    for _ in range((n + 1) // 2 - 1):
-        powers.append([[sum(map(operator.mul, row, col)) for col in cols]
-                       for row in powers[-1]])
-    by_rows = [[v for row in m for v in row] for m in powers]
-    by_cols = [[v for col in zip(*m) for v in col] for m in powers]
-    sums = [sum(big[i][i] for i in range(n))]
-    sums += [sum(map(operator.mul, by_rows[k // 2 - 1], by_cols[k - k // 2 - 1]))
-             for k in range(2, n + 1)]
     coeffs = [1]
-    for k in range(1, n + 1):
-        coeffs.append(-sum(map(operator.mul, coeffs, reversed(sums[:k]))) // k)
+    for r in range(n):  # R = big[r] and N_r's rows meet C in r entries
+        row, col = big[r], [v[r] for v in big[:r]]
+        first = [1, -row[r]]
+        for k in range(r):
+            if k:
+                col = [sum(map(operator.mul, v, col)) for v in big[:r]]
+            first.append(-sum(map(operator.mul, row, col)))
+        coeffs = [sum(map(operator.mul, first[i::-1], coeffs)) for i in range(r + 2)]
     d *= scale
     return [Fraction(c, d ** k) for k, c in reversed(list(enumerate(coeffs)))]
 

@@ -1,7 +1,9 @@
 """Exact reference routines that the package is checked against
 (test-only): the Faddeev-LeVerrier characteristic polynomial, products and
 transposes of rational matrices, and entrywise absolute values and
-dominance."""
+dominance.  Faddeev-LeVerrier reads the coefficients off traces of matrix
+products and divides by k; the package's Berkowitz recurrence never
+divides, so the two methods share no step."""
 
 import math
 import operator

@@ -91,6 +91,17 @@ def test_rational_bernstein_value():
     assert eval_basis_function(spec, 0, F(1, 2)) == F(1, 3)
 
 
+def test_float_weights_are_stored_as_fractions():
+    spec = BasisSpec(BasisFamily.BERNSTEIN, 2, weights=(0.5, 1.0, 2))
+    assert spec.weights == (F(1, 2), F(1), F(2))
+    assert all(type(w) is F for w in spec.weights)
+    row = eval_basis_row(spec, F(1, 3))
+    assert all(type(v) is F for v in row)
+    assert row == eval_basis_row(
+        BasisSpec(BasisFamily.BERNSTEIN, 2, weights=(F(1, 2), F(1), F(2))),
+        F(1, 3))
+
+
 def test_eval_domain_errors():
     spec = BasisSpec(BasisFamily.BERNSTEIN, 3)
     with pytest.raises(DomainError):

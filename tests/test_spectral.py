@@ -6,15 +6,19 @@ from exact_oracle import faddeev_leverrier, mat_mul, transpose
 from float_oracle import float_crosscheck
 
 from tpbases.bases import BasisFamily, BasisSpec, standard_nodes
+from tpbases.cone import cone_weights
 from tpbases.errors import DomainError, SpectralAssumptionError
+from tpbases.experiments import BASES
 from tpbases.linalg import (
     as_matrix,
     collocation_matrix,
     cond_inf,
+    det,
     identity,
     inf_norm,
     inverse,
     kronecker,
+    solve,
 )
 from tpbases.render import render_enclosure, sqrt_enclosure
 from tpbases import spectral
@@ -63,12 +67,16 @@ def test_char_poly_guard():
         char_poly(identity(CHAR_POLY_MAX_DIM + 1))
     with pytest.raises(DomainError, match="matrix must be square"):
         char_poly(as_matrix([[1, 2, 3], [4, 5, 6]]))
+    for scale in (0, -1, 2.5, F(3, 2)):
+        with pytest.raises(DomainError, match="scale must be a positive "
+                           "integer"):
+            char_poly(identity(2), scale)
 
 
 def _random_rational_matrix(rng, n):
-    # mixed denominators; the diagonal leans negative, so most traces (and
-    # many power sums after them) are negative and the exact integer
-    # division by k sees negative dividends
+    # mixed denominators clear to a d with several prime factors; the
+    # diagonal leans negative, so unlike the collocation matrices' the
+    # spectra are not positive and the coefficients' signs do not alternate
     dens = (1, 2, 3, 5, 7, 12)
     return [[F(rng.randint(-9, 3 if i == j else 9), rng.choice(dens))
              for j in range(n)] for i in range(n)]
@@ -86,10 +94,19 @@ def test_char_poly_matches_sympy(seed):
     assert char_poly(as_matrix(m)) == expected
 
 
-@pytest.mark.parametrize("n", range(1, 16))
-def test_char_poly_equals_faddeev_leverrier_on_the_collocation_matrices(n):
-    for family in BasisFamily:
-        a = collocation_matrix(BasisSpec(family, n), standard_nodes(n))
+@pytest.mark.parametrize("n, weighted", [
+    *(pytest.param(n, False, id=str(n)) for n in range(1, 16)),
+    # the rational bases' rows have different denominators, so N = d A
+    # has much larger entries than for the plain bases
+    *(pytest.param(n, True, id=f"weighted-{n}") for n in range(3, 9)),
+])
+def test_char_poly_equals_faddeev_leverrier_on_the_collocation_matrices(
+        n, weighted):
+    conv = cone_weights(n, 1, 1000) if weighted else None
+    for _, family, field in BASES:
+        spec = BasisSpec(family, n,
+                         weights=None if conv is None else getattr(conv, field))
+        a = collocation_matrix(spec, standard_nodes(n))
         assert char_poly(a) == faddeev_leverrier(a)
         scale, gram = _gram(a)
         assert char_poly(gram, scale) == \
@@ -515,6 +532,25 @@ def test_the_empty_matrix_is_outside_every_measure(measure):
     with pytest.raises(DomainError, match="^matrix must have at least one "
                        "row and one column$"):
         measure([])
+
+
+@pytest.mark.parametrize("measure", [
+    pytest.param(inverse, id="inverse"),
+    pytest.param(lambda a: solve(a, [[1], [F(1, 3)]]), id="solve"),
+    pytest.param(det, id="det"),
+    pytest.param(cond_inf, id="cond_inf"),
+    pytest.param(inf_norm, id="inf_norm"),
+    pytest.param(char_poly, id="char_poly"),
+    pytest.param(lambda a: char_poly(a, 3), id="char_poly-scaled"),
+    pytest.param(min_eigenvalue, id="min_eigenvalue"),
+    pytest.param(min_singular_value, id="min_singular_value"),
+    pytest.param(spectral_report, id="spectral_report"),
+])
+def test_every_measure_reads_a_float_as_the_fraction_it_equals(measure):
+    # repr tells a Fraction result from a float that compares equal to it
+    floats = [[2, 0.5], [0.5, 1.1]]
+    fractions = [[F(2), F(1, 2)], [F(1, 2), F(1.1)]]
+    assert repr(measure(floats)) == repr(measure(fractions))
 
 
 def test_min_singular_value_permutation():
