@@ -53,15 +53,19 @@ class BasisSpec(namedtuple("BasisSpec",
 
     With weights w the spec denotes the rational basis
     r_i(x) = w_i u_i(x) / sum_j w_j u_j(x); without weights, the plain
-    polynomial family.  ``weights`` is a tuple of ``degree + 1`` Fractions
-    or None.
+    polynomial family.  ``family`` is a ``BasisFamily`` or its value
+    string; ``weights`` is a tuple of ``degree + 1`` Fractions or None.
     """
 
     __slots__ = ()
 
-    def __new__(cls, family: BasisFamily, degree: int,
+    def __new__(cls, family: BasisFamily | str, degree: int,
                 weights: tuple[Fraction, ...] | None = None,
                 dp_literal_middle: bool = False):
+        try:
+            family = BasisFamily(family)
+        except ValueError:
+            raise DomainError(f"unknown basis family {family!r}") from None
         if degree < 1:
             raise DomainError(f"degree must be >= 1, got {degree}")
         if weights is not None:

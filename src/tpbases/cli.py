@@ -26,9 +26,6 @@ EXIT_VERIFICATION_FAILED = 1
 EXIT_USAGE = 2
 EXIT_SEARCH_EXHAUSTED = 3
 
-_FAMILY_NAMES = {f.value: f for f in BasisFamily}
-
-
 def _default_seed(default: int) -> int:
     env = os.environ.get("TPB_SEED")
     if env is not None:
@@ -74,7 +71,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="also emit the B2_T spectral columns in table 3")
 
     ev = sub.add_parser("eval", help="evaluate one basis row at a point")
-    ev.add_argument("--family", required=True, choices=sorted(_FAMILY_NAMES))
+    ev.add_argument("--family", required=True,
+                    choices=sorted(f.value for f in BasisFamily))
     ev.add_argument("--degree", type=int, required=True)
     ev.add_argument("--x", required=True, help="rational point, e.g. 1/5")
     ev.add_argument("--weights", default=None,
@@ -147,7 +145,7 @@ def _cmd_eval(args) -> int:
     weights = None
     if args.weights is not None:
         weights = tuple(parse_fraction(w) for w in args.weights.split(","))
-    spec = BasisSpec(_FAMILY_NAMES[args.family], args.degree, weights=weights)
+    spec = BasisSpec(args.family, args.degree, weights=weights)
     x = parse_fraction(args.x)
     row = eval_basis_row(spec, x)
     for i, value in enumerate(row):

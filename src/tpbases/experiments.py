@@ -172,11 +172,11 @@ def _bases(n: int, conv: WeightConversionResult | None = None,
 
 
 def _tightened(rep: SpectralReport, tol: Fraction):
-    """The Kronecker square of the factor report ``rep``, refined in place
+    """The factor report ``rep`` and its Kronecker square, refined in place
     to each tolerance of the schedule."""
     for k in range(TOL_ROUNDS):
         rep = refine_report(rep, tol * TOL_STEP**k)
-        yield kron_min_spectral(rep, rep)
+        yield rep, kron_min_spectral(rep, rep)
 
 
 def _kron_report_rendered(
@@ -184,9 +184,11 @@ def _kron_report_rendered(
 ) -> tuple[SpectralReport, str, str]:
     """Kronecker-square spectral report plus unambiguous decimal strings,
     tightening the tolerance when rounding would be ambiguous."""
-    for krep in _tightened(spectral_report(x, tol), tol):
+    for rep, krep in _tightened(spectral_report(x, tol), tol):
         lam = render_enclosure(krep.lambda_min, sig_digits)
-        sig = render_enclosure(krep.sigma_min_sq, sig_digits, sqrt=True)
+        # the singular values of A (x) A are the products s_i(A) s_j(A), so
+        # sigma_min(A (x) A) = sigma_min(A)^2, which rep.sigma_min_sq encloses
+        sig = render_enclosure(rep.sigma_min_sq, sig_digits)
         if lam is not None and sig is not None:
             return krep, lam, sig
     raise SpectralAssumptionError("enclosures would not refine to an "
@@ -321,7 +323,8 @@ def _spectral_verdict(fac_a: SpectralReport, fac_m: SpectralReport,
     the same root of the same polynomial, so their values are equal."""
     if fac_a == fac_m:
         return True, None
-    for rep_a, rep_m in zip(_tightened(fac_a, tol), _tightened(fac_m, tol)):
+    for (_, rep_a), (_, rep_m) in zip(_tightened(fac_a, tol),
+                                      _tightened(fac_m, tol)):
         lam_ok = _interval_le(rep_a.lambda_min, rep_m.lambda_min)
         sig_ok = _interval_le(rep_a.sigma_min_sq, rep_m.sigma_min_sq)
         if lam_ok is False or sig_ok is False:

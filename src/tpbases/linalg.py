@@ -66,7 +66,8 @@ def kronecker(a: Matrix, b: Matrix) -> Matrix:
 
 def inf_norm(a: Matrix) -> Fraction:
     """Max over rows of the sum of absolute entry values."""
-    return max(sum(abs(v) for v in row) for row in _exact(_nonempty(a)))
+    return Fraction(max(sum(abs(v) for v in row)
+                        for row in _exact(_nonempty(a))))
 
 
 def _integer_rows(a: Matrix, rhs: Matrix) -> tuple[list[list[int]], list[int]]:

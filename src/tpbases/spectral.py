@@ -377,8 +377,8 @@ class SpectralReport(namedtuple(
     """Certified minimal eigenvalue and singular value of one matrix.
 
     ``lambda_min`` and ``sigma_min_sq`` are RootEnclosures;
-    ``sigma_min_sq`` encloses the smallest eigenvalue of A^T A, and the
-    square root is taken only when rendering, with outward rounding.
+    ``sigma_min_sq`` encloses the smallest eigenvalue of A^T A, which is
+    also sigma_min(A (x) A), so no square root is ever taken.
     """
 
     __slots__ = ()

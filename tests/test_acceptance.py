@@ -1,6 +1,7 @@
 """Acceptance suite: one test per release criterion, each printing a
 PASS line when its checks hold (run with ``pytest -s`` to see them)."""
 
+import math
 import random
 import time
 from fractions import Fraction as F
@@ -18,6 +19,7 @@ from tpbases.experiments import (
     ExperimentConfig,
     GOLDEN_TABLE1,
     GOLDEN_TABLE2,
+    SIG_DIGITS,
     _dp_variant,
     run_table_1_2,
     run_table_3_4,
@@ -32,8 +34,8 @@ from tpbases.linalg import (
     is_totally_positive,
     kronecker,
 )
-from tpbases.render import render_enclosure, sqrt_enclosure
-from tpbases.spectral import kron_min_spectral, spectral_report
+from tpbases.render import render_enclosure
+from tpbases.spectral import RootEnclosure, kron_min_spectral, spectral_report
 
 # seeds verified to complete every degree-3/4/5 weight search within the
 # default iteration budget
@@ -187,9 +189,9 @@ def test_criterion_7_spectral_soundness():
         lam_f, sig_f = float_crosscheck(kronecker(x, x))
         ok &= lifted.lambda_min.low * (1 - pad) <= F(lam_f) <= \
             lifted.lambda_min.high * (1 + pad)
-        lo, hi = sqrt_enclosure(lifted.sigma_min_sq.low,
-                                lifted.sigma_min_sq.high)
-        ok &= lo * (1 - pad) <= F(sig_f) <= hi * (1 + pad)
+        # sigma_min(x (x) x) = sigma_min(x)^2, the factor's own enclosure
+        ok &= rep.sigma_min_sq.low * (1 - pad) <= F(sig_f) <= \
+            rep.sigma_min_sq.high * (1 + pad)
     report("criterion 7: enclosures contain binary64 cross-checks on the "
            "full grid", ok, f"{len(cases)} matrices")
 
@@ -209,12 +211,26 @@ def test_criterion_8_determinism():
     report("criterion 8: byte-identical reports for identical config", ok)
 
 
+def _exact_root(q: F) -> F:
+    # the rational whose square is q, which must be one
+    num, den = math.isqrt(q.numerator), math.isqrt(q.denominator)
+    assert num * num == q.numerator and den * den == q.denominator, q
+    return F(num, den)
+
+
 def test_tables_1_2_render_unambiguously():
-    # supporting check: every rendered decimal is reproducible from the
-    # enclosure endpoints alone (no midpoint guessing)
-    rows = run_table_1_2(ExperimentConfig())
+    # supporting check: every rendered decimal of tables 1 and 3 (seed 137)
+    # is reproducible from the enclosure endpoints alone (no midpoint
+    # guessing); a sigma row's enclosure is the square of its factor's
+    # sigma_min^2 enclosure, and the decimal renders that factor enclosure
+    config = ExperimentConfig()
+    rows = run_table_1_2(config) + run_table_3_4(config)[0]
+    assert {r.table for r in rows if r.enclosure is not None} == {1, 3}
     for r in rows:
-        if r.enclosure is not None:
-            rendered = render_enclosure(r.enclosure, 3,
-                                        sqrt=r.metric == "sigma_min")
-            assert rendered == r.decimal
+        if r.enclosure is None:
+            continue
+        enc = r.enclosure
+        if r.metric == "sigma_min":
+            enc = RootEnclosure(_exact_root(enc.low), _exact_root(enc.high),
+                                None)
+        assert render_enclosure(enc, SIG_DIGITS[r.table]) == r.decimal

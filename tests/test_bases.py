@@ -102,6 +102,15 @@ def test_float_weights_are_stored_as_fractions():
         F(1, 3))
 
 
+def test_family_is_read_by_its_value_and_an_unknown_one_is_refused():
+    spec = BasisSpec("bernstein", 3)
+    assert spec.family is BasisFamily.BERNSTEIN
+    assert eval_basis_row(spec, F(1, 5)) == [F(64, 125), F(48, 125),
+                                             F(12, 125), F(1, 125)]
+    with pytest.raises(DomainError, match="unknown basis family 'bezier'"):
+        BasisSpec("bezier", 3)
+
+
 def test_eval_domain_errors():
     spec = BasisSpec(BasisFamily.BERNSTEIN, 3)
     with pytest.raises(DomainError):

@@ -20,7 +20,7 @@ from tpbases.linalg import (
     kronecker,
     solve,
 )
-from tpbases.render import render_enclosure, sqrt_enclosure
+from tpbases.render import render_enclosure
 from tpbases import spectral
 from tpbases.spectral import (
     CHAR_POLY_MAX_DIM,
@@ -547,10 +547,13 @@ def test_the_empty_matrix_is_outside_every_measure(measure):
     pytest.param(spectral_report, id="spectral_report"),
 ])
 def test_every_measure_reads_a_float_as_the_fraction_it_equals(measure):
-    # repr tells a Fraction result from a float that compares equal to it
+    # repr tells a Fraction result from a float or an int that compares
+    # equal to it
     floats = [[2, 0.5], [0.5, 1.1]]
     fractions = [[F(2), F(1, 2)], [F(1, 2), F(1.1)]]
     assert repr(measure(floats)) == repr(measure(fractions))
+    ints = [[2, 1], [1, 1]]
+    assert repr(measure(ints)) == repr(measure(as_matrix(ints)))
 
 
 def test_min_singular_value_permutation():
@@ -561,31 +564,6 @@ def test_min_singular_value_permutation():
 def test_min_singular_value_diagonal():
     enc = min_singular_value(as_matrix([[2, 0], [0, 3]]), TOL30)
     assert enc.low < 4 < enc.high
-    lo, hi = sqrt_enclosure(enc.low, enc.high)
-    assert lo <= 2 <= hi
-
-
-def test_sqrt_enclosure_rounds_to_40_places_down_to_1e_40():
-    for high in (F(3), F(1, 10**40)):
-        lo, hi = sqrt_enclosure(high / 2, high)
-        assert (lo * 10**40).denominator == (hi * 10**40).denominator == 1
-
-
-def test_sqrt_enclosure_keeps_tiny_values_positive():
-    lo, hi = sqrt_enclosure(F(1, 10**85), F(2, 10**85))
-    assert 0 < lo and lo**2 <= F(1, 10**85)
-    assert hi**2 >= F(2, 10**85)
-
-
-@pytest.mark.parametrize("low, high", [(F(-1), F(1)), (F(2), F(1))])
-def test_sqrt_enclosure_rejects_negative_and_inverted_bounds(low, high):
-    with pytest.raises(DomainError):
-        sqrt_enclosure(low, high)
-
-
-def test_render_sqrt_of_tiny_enclosure():
-    enc = RootEnclosure(F(1, 10**85), F(1, 10**85) + F(1, 10**95), None)
-    assert render_enclosure(enc, 3, sqrt=True) == "3.16e-43"
 
 
 def test_sigma_enclosure_consistent_with_gram_eigenvalue():
@@ -686,8 +664,9 @@ def test_enclosures_contain_float_values(family, n):
     pad = F(1, 10**6)
     assert lifted.lambda_min.low * (1 - pad) <= F(lam_f) <= \
         lifted.lambda_min.high * (1 + pad)
-    lo, hi = sqrt_enclosure(lifted.sigma_min_sq.low, lifted.sigma_min_sq.high)
-    assert lo * (1 - pad) <= F(sig_f) <= hi * (1 + pad)
+    # sigma_min(m (x) m) = sigma_min(m)^2, the factor's own enclosure
+    assert rep.sigma_min_sq.low * (1 - pad) <= F(sig_f) <= \
+        rep.sigma_min_sq.high * (1 + pad)
 
 
 def test_published_bernstein_values():
@@ -695,7 +674,7 @@ def test_published_bernstein_values():
     rep = spectral_report(m, TOL30)
     lifted = kron_min_spectral(rep, rep)
     assert render_enclosure(lifted.lambda_min, 3) == "2.30e-03"
-    assert render_enclosure(lifted.sigma_min_sq, 3, sqrt=True) == "2.19e-03"
+    assert render_enclosure(rep.sigma_min_sq, 3) == "2.19e-03"
 
 
 # --- Newton paths against the bisection reference ---
