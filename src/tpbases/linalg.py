@@ -36,9 +36,12 @@ def as_matrix(rows) -> Matrix:
 
 
 def _exact(a: Matrix) -> Matrix:
-    """``a`` when every entry is an int or a Fraction, else ``as_matrix(a)``,
-    so that every measure reads a float as the Fraction it equals."""
-    if all(type(v) in (int, Fraction) for row in a for v in row):
+    """``a`` when its rows have one length and every entry is an int or a
+    Fraction, else ``as_matrix(a)``, so that every measure reads a float as
+    the Fraction it equals and refuses a ragged matrix."""
+    width = len(a[0]) if a else 0
+    if (all(len(row) == width for row in a)
+            and all(type(v) in (int, Fraction) for row in a for v in row)):
         return a
     return as_matrix(a)
 

@@ -25,6 +25,22 @@ accepted lane's top byte is below 0x80, so every such run starts on a
 lane boundary.  Python steps through no rejected output.  ``next_uint64``
 and ``randint`` remain the reference semantics of the stream.
 
+Since the state of superblock j is one multiply-add from the seed's, the
+stream splits between two processes (Steele, Lea & Flood, OOPSLA 2014).
+The search computes superblock 0 itself; if it asks for a second one,
+``os.fork`` exists, the process may run on two CPUs or more and it runs
+a single thread, it forks one helper.  The helper computes superblocks 2,
+4, 6, ... and writes their raw bytes to a pipe; the caller computes 1, 3,
+5, ... and takes the two in stream order.  In any other case the caller
+computes every superblock.  The helper does only lane arithmetic and
+``os.write`` and leaves by ``os._exit``, so it flushes no inherited buffer
+and runs no exit hook.  The caller closes the pipe and reaps the helper
+before the search returns or raises; a write to the closed pipe, also
+when the caller is killed, ends the helper within one superblock.  If the
+pipe ends early, the caller computes the rest of the stream itself.  The
+outputs, and so every result and generator state, are those of the
+serial stream.
+
 ``search_positive_weights`` is the first stage of the weight search and
 spends at most ``max_iter`` vectors; when it raises
 ``SearchExhaustedError``, the experiment grid asks the exact cone solver
@@ -37,7 +53,10 @@ degree's search goes on from the same point of the stream.
 from __future__ import annotations
 
 import functools
+import itertools
 import operator
+import os
+import threading
 
 from .cone import (
     WeightConversionResult,
@@ -127,9 +146,11 @@ class SplitMix64:
                 return lo + v
 
 
-def _superblocks(state: int, span: int):
+def _superblocks(state: int, span: int, first: int = 0, stride: int = 1):
     """The outputs of a generator in ``state`` as ``randint`` over span
-    values sees them, ``LANE_BYTES // G * BLOCK`` at a time.
+    values sees them, ``LANE_BYTES // G * BLOCK`` at a time: superblocks
+    first, first + stride, first + 2 stride, ... of the stream, every one
+    of them by default.
 
     Yields pairs (raw, kept) of little-endian bytes.  ``raw`` has one
     G-byte lane per output in stream order (G from ``_lane_layout``):
@@ -139,6 +160,7 @@ def _superblocks(state: int, span: int):
     """
     bits, g, shift = _lane_layout(span)
     ones, low64, steps, sub_ones = _lanes(g)
+    p = LANE_BYTES // g
     # randint keeps bits 0..bits-1 of z ^ (z >> 31), which depend on
     # z mod 2^(31 + bits) only; a product by a constant below 2^width
     # stays inside its 128-bit lane
@@ -148,9 +170,11 @@ def _superblocks(state: int, span: int):
     top = 8 * g - 1
     offsets, flags = shift * sub_ones, sub_ones << top
     step = ones * _GAMMA
-    # after the P sub-blocks, on to lane i's output of the next superblock
-    jump = ones * (LANE_BYTES // g * (BLOCK - 1) * _GAMMA & _MASK64)
-    states = (state * ones + steps) & low64
+    # after the P sub-blocks, on to lane i's output of the superblock
+    # stride ahead
+    jump = ones * (p * (stride * BLOCK - 1) * _GAMMA & _MASK64)
+    states = ((state + first * p * BLOCK * _GAMMA & _MASK64) * ones
+              + steps) & low64
     gone = b"\xff" * g
     while True:
         packed = 0
@@ -166,6 +190,73 @@ def _superblocks(state: int, span: int):
         raw = packed.to_bytes(BLOCK * LANE_BYTES, "little")
         # as bytes.replace(gone, b""), but one scan instead of two
         yield raw, b"".join(raw.split(gone))
+
+
+def _split_helps() -> bool:
+    """Whether a forked helper can compute superblocks beside the caller:
+    ``os.fork`` exists, the process may run on two CPUs or more, and it
+    runs a single thread (a fork copies only the thread that calls it)."""
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return False
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) >= 2
+    return (os.cpu_count() or 1) >= 2
+
+
+def _helper(fd: int, state: int, span: int) -> None:
+    """In a forked helper: write the raw bytes of superblocks 2, 4, 6, ...
+    to ``fd`` until a write fails, then leave at once, flushing no
+    inherited buffer and running no exit handler."""
+    try:
+        for raw, _ in _superblocks(state, span, 2, 2):
+            view = memoryview(raw)
+            while view:
+                view = view[os.write(fd, view):]
+    finally:
+        os._exit(0)
+
+
+def _split_superblocks(state: int, span: int):
+    """``_superblocks(state, span)``, from two processes once the second
+    superblock is asked for and ``_split_helps()``: a forked helper
+    computes superblocks 2, 4, 6, ... and pipes their raw bytes, and the
+    caller computes 1, 3, 5, ... and yields both in stream order.
+
+    Closing the generator closes the pipe and reaps the helper, whose next
+    write then fails; if the pipe ends early, the caller computes the rest
+    of the stream itself.
+    """
+    serial = _superblocks(state, span)
+    yield next(serial)
+    if not _split_helps():
+        yield from serial
+        return
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:  # no process to spare: go on alone
+        os.close(read_fd)
+        os.close(write_fd)
+        yield from serial
+        return
+    if not pid:
+        os.close(read_fd)
+        _helper(write_fd, state, span)
+    os.close(write_fd)
+    size = BLOCK * LANE_BYTES
+    gone = b"\xff" * _lane_layout(span)[1]
+    own = _superblocks(state, span, 1, 2)
+    try:
+        with open(read_fd, "rb") as pipe:
+            for index in itertools.count(2, 2):
+                yield next(own)
+                raw = pipe.read(size)
+                if len(raw) < size:  # the helper is gone
+                    yield from _superblocks(state, span, index)
+                    return
+                yield raw, b"".join(raw.split(gone))
+    finally:
+        os.waitpid(pid, 0)
 
 
 def _monomial_prechecked(lanes: bytes, n: int, count: int, bits: int) -> list[int]:
@@ -273,6 +364,13 @@ def search_positive_weights(
     coefficient.  The survivors, in stream order, are tested against the
     integer rows of the cone (``cone._cone_rows``), and the first that
     passes is certified by the exact conversion.
+
+    The superblocks come from ``_split_superblocks``: past the first, a
+    forked helper computes every other one when ``os.fork`` exists, the
+    process may run on two CPUs and it runs a single thread.  The search
+    closes that generator, which reaps the helper, before it returns or
+    raises; the outcome and the generator state are those of the serial
+    stream.
     """
     if n < 1:
         raise DomainError(f"degree must be >= 1, got {n}")
@@ -288,25 +386,30 @@ def search_positive_weights(
     pending = b""  # accepted values of a vector the superblock cut off
     remaining = max_iter
     rows = None  # the cone's integer rows, built at the first survivor
-    for raw, kept in _superblocks(rng._state, span):
-        vals = pending + kept
-        carried = len(pending) // g
-        count = min(len(vals) // (k * g), remaining)
-        # the pre-check drops most vectors; the cone's integer rows decide
-        # the survivors exactly, and the exact conversion certifies the hit
-        for i in _monomial_prechecked(vals, n, count, bits):
-            w = [lo - shift + int.from_bytes(vals[j:j + g], "little")
-                 for j in range(i * k * g, (i + 1) * k * g, g)]
-            if rows is None:
-                rows = _cone_rows(n, lo)
-            if all(sum(map(operator.mul, a, w)) >= 1 for a in rows):
-                result = convert_bernstein_weights(n, w)
-                if result.all_positive:
-                    rng.skip(_raw_count(raw, g, (i + 1) * k - carried))
-                    return result
-        remaining -= count
-        if not remaining:
-            rng.skip(_raw_count(raw, g, count * k - carried))
-            raise SearchExhaustedError(max_iter, seed)
-        pending = vals[count * k * g:]
-        rng.skip(len(raw) // g)
+    blocks = _split_superblocks(rng._state, span)
+    try:
+        for raw, kept in blocks:
+            vals = pending + kept
+            carried = len(pending) // g
+            count = min(len(vals) // (k * g), remaining)
+            # the pre-check drops most vectors; the cone's integer rows
+            # decide the survivors exactly, and the exact conversion
+            # certifies the hit
+            for i in _monomial_prechecked(vals, n, count, bits):
+                w = [lo - shift + int.from_bytes(vals[j:j + g], "little")
+                     for j in range(i * k * g, (i + 1) * k * g, g)]
+                if rows is None:
+                    rows = _cone_rows(n, lo)
+                if all(sum(map(operator.mul, a, w)) >= 1 for a in rows):
+                    result = convert_bernstein_weights(n, w)
+                    if result.all_positive:
+                        rng.skip(_raw_count(raw, g, (i + 1) * k - carried))
+                        return result
+            remaining -= count
+            if not remaining:
+                rng.skip(_raw_count(raw, g, count * k - carried))
+                raise SearchExhaustedError(max_iter, seed)
+            pending = vals[count * k * g:]
+            rng.skip(len(raw) // g)
+    finally:
+        blocks.close()  # reaps the helper, if one was forked

@@ -1,9 +1,13 @@
 import copy
+import itertools
+import os
 import random
+import threading
 from fractions import Fraction as F
 
 import pytest
 
+import tpbases.rng as rng_module
 from tpbases.bases import (
     BasisFamily,
     BasisSpec,
@@ -457,6 +461,118 @@ def test_search_matches_reference_loop_property():
                  2**16 + 1, 2**31 + 1, 2**32 + 1, 2**33 + 1, 2**34 + 1,
                  2**40 + 3, 2**63 + 1, 2**64, 2**64 + 1]:
         check(span)
+
+
+# --- the stream split between the caller and a forked helper ---
+
+def _assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _split(monkeypatch, on):
+    """Force the helper on or off; returns the list of helpers forked."""
+    monkeypatch.setattr(rng_module, "_split_helps", lambda: on)
+    forks, fork = [], os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+def _searches(seed):
+    """Degrees 3-5 on one stream, then degree 6 exhausting 200000 vectors
+    on a fresh one, as the benchmark's weight-search jobs draw them."""
+    rng = SplitMix64(seed)
+    runs = [_outcome(_block_search, n, 1, 1000, 10**6, rng) for n in (3, 4, 5)]
+    return runs + [_outcome(_block_search, 6, 1, 1000, 200000, SplitMix64(seed))]
+
+
+@pytest.mark.parametrize("span,g", [(1000, 2), (2**20 + 1, 4), (2**40 + 3, 8),
+                                    (2**63 + 1, 16)])
+def test_strided_superblocks_are_every_stride_th_superblock(span, g):
+    assert _lane_layout(span)[1] == g
+    state = SplitMix64(2014)._state
+    serial = list(itertools.islice(_superblocks(state, span), 7))
+    for first in (0, 1, 2):
+        for stride in (1, 2):
+            count = len(range(first, 7, stride))
+            assert list(itertools.islice(
+                _superblocks(state, span, first, stride), count)
+            ) == serial[first::stride]
+
+
+@pytest.mark.parametrize("seed", [82, 139, 193])
+def test_search_with_a_helper_matches_the_search_without(seed, monkeypatch):
+    _split(monkeypatch, False)
+    expected = _searches(seed)
+    assert [r is None for r, _ in expected] == [False, False, False, True]
+    forks = _split(monkeypatch, True)
+    assert _searches(seed) == expected
+    # degree 3 hits in the first superblock, which the caller computes
+    # alone; each other search forks one helper and reaps it
+    assert len(forks) == 3
+    _assert_no_child()
+
+
+def test_no_helper_outlives_a_search(monkeypatch):
+    forks = _split(monkeypatch, True)
+    assert search_positive_weights(4, 1, 1000, seed=139).all_positive
+    _assert_no_child()
+    assert _outcome(_block_search, 6, 1, 1000, 200000, SplitMix64(82))[0] is None
+    _assert_no_child()
+
+    def failing(n, w):
+        raise RuntimeError("conversion failed")
+
+    monkeypatch.setattr(rng_module, "convert_bernstein_weights", failing)
+    with pytest.raises(RuntimeError, match="conversion failed") as failure:
+        search_positive_weights(4, 1, 1000, seed=139)
+    # reaped before the error left the search, not when its traceback,
+    # which holds the search's frame, is dropped
+    assert failure.traceback
+    _assert_no_child()
+    assert len(forks) == 3
+
+
+def test_a_helper_that_dies_early_leaves_the_outcome_alone(monkeypatch):
+    expected = _searches(139)
+    forks = _split(monkeypatch, True)
+    superblocks, caller = rng_module._superblocks, os.getpid()
+
+    def dying(*args):
+        blocks = superblocks(*args)
+        yield next(blocks)
+        if os.getpid() != caller:  # the helper, after its first superblock
+            os._exit(1)
+        yield from blocks
+
+    monkeypatch.setattr(rng_module, "_superblocks", dying)
+    assert _searches(139) == expected
+    assert len(forks) == 3
+    _assert_no_child()
+
+
+def test_a_caller_with_a_second_thread_never_forks(monkeypatch):
+    expected = _searches(193)
+    # two CPUs whatever the machine has, so that only the thread decides
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        assert _searches(193) == expected
+    finally:
+        release.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
 
 
 # --- generator ---

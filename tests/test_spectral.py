@@ -534,6 +534,19 @@ def test_the_empty_matrix_is_outside_every_measure(measure):
         measure([])
 
 
+@pytest.mark.parametrize("measure", [inf_norm, min_singular_value],
+                         ids=lambda f: f.__name__)
+@pytest.mark.parametrize("entry", [int, F, float], ids=lambda t: t.__name__)
+def test_a_ragged_matrix_is_refused_whatever_its_entries(measure, entry):
+    # exact entries once skipped the row-width check that floats get:
+    # inf_norm read [[1, 2], [3]] as 3, and min_singular_value as the
+    # sigma^2 of the column (1, 3) alone
+    for rows in ([[1, 2], [3]], [[1], [2, 3]], [[1, 2], [3, 4], [5]]):
+        with pytest.raises(DomainError,
+                           match="^rows have inconsistent lengths$"):
+            measure([[entry(v) for v in row] for row in rows])
+
+
 @pytest.mark.parametrize("measure", [
     pytest.param(inverse, id="inverse"),
     pytest.param(lambda a: solve(a, [[1], [F(1, 3)]]), id="solve"),
